@@ -5,28 +5,48 @@ The headline claim of the batch API redesign: an E2-style population
 magnitude faster through ``executor="vectorized"`` than through a
 worker pool, because the tensor kernel advances *every* live
 trajectory with one numpy step instead of re-entering the scalar
-stepper per run. Measured on one core at population 1000:
-vectorized ~1.3 s vs process ~16 s (~12×) vs serial ~13 s.
+stepper per run. Measured at population 1000 on a 2-vCPU Xeon VM
+(one round each, one BLAS thread): vectorized 1.2 s on the float-lane
+``random_game`` and 1.0 s on the int-lane integer game, vs process
+12.9 s vs serial 21.4 s (~18×).
 
 Three population sizes chart the crossover: at 10 runs the pool/array
 overheads dominate, at 100 vectorization already wins, at 1000 it is
-~10× and the gap keeps widening with population size. Every variant
-asserts the same converged-run count, so the speedup is measured on
-bit-identical work (``tests/test_tensor_parity.py`` holds the full
-parity proof).
+well over 10× and the gap keeps widening with population size. The
+int-lane case times the exact int64 lane that integer games (such as
+perfbench's ``population`` workload) take. Every variant asserts the
+same converged-run count, so the speedup is measured on bit-identical
+work (``tests/test_tensor_parity.py`` holds the full parity proof).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.factories import random_game
+from repro.core.game import Game
+from repro.kernel.core import KernelGame
+from repro.kernel.tensor import kernel_lane
 from repro.run import RunSpec, run_many
 
 #: The E2-style workload: the suite's largest standard game shape.
+#: ``random_game``'s fractional powers put it in the float lane.
 GAME = random_game(100, 10, seed=0)
 
 
-def _population(executor: str, runs: int):
-    cells = [RunSpec(game=GAME, runs=runs, seed=7)]
+def _int_game(seed: int) -> Game:
+    """The same shape with distinct integer powers and integer rewards."""
+    rng = np.random.default_rng(seed)
+    powers = rng.choice(np.arange(1, 1001), 100, replace=False)
+    rewards = rng.integers(10, 100, 10)
+    return Game.create([int(p) for p in powers], [int(r) for r in rewards])
+
+
+#: The int64 lane, which integer games such as perfbench's use.
+INT_GAME = _int_game(0)
+
+
+def _population(executor: str, runs: int, game: Game = GAME):
+    cells = [RunSpec(game=game, runs=runs, seed=7)]
     return run_many(cells, executor=executor)[0]
 
 
@@ -34,6 +54,16 @@ def _population(executor: str, runs: int):
 def test_vectorized_population(benchmark, runs):
     summaries = benchmark.pedantic(
         _population, args=("vectorized", runs), iterations=1, rounds=1
+    )
+    assert len(summaries) == runs
+    assert all(summary.converged for summary in summaries)
+
+
+@pytest.mark.parametrize("runs", [100, 1000])
+def test_vectorized_population_int_lane(benchmark, runs):
+    assert kernel_lane(KernelGame(INT_GAME)) == "int"
+    summaries = benchmark.pedantic(
+        _population, args=("vectorized", runs, INT_GAME), iterations=1, rounds=1
     )
     assert len(summaries) == runs
     assert all(summary.converged for summary in summaries)

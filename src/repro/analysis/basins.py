@@ -26,7 +26,7 @@ from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.kernel.batch import BatchRunner
 from repro.learning.policies import BetterResponsePolicy
-from repro.util.rng import RngLike
+from repro.util.rng import RngLike, normalize_seed
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def basin_profile(
             game,
             runs=samples,
             policy=policy,
-            seed=seed if isinstance(seed, int) else None,
+            seed=normalize_seed(seed),
         )
     else:
         from repro.run import RunSpec, run_many
@@ -134,7 +134,7 @@ def basin_profile(
                     runs=samples,
                     policy=policy,
                     backend=backend,
-                    seed=seed if isinstance(seed, int) else None,
+                    seed=normalize_seed(seed),
                 )
             ],
             executor=executor,

@@ -32,7 +32,7 @@ from repro.core.game import Game
 from repro.core.restricted import RestrictedGame
 from repro.kernel.classes import ClassGame, Profile
 from repro.analysis.convergence import ConvergenceStats, stats_from_steps
-from repro.util.rng import RngLike
+from repro.util.rng import RngLike, normalize_seed
 
 GameLike = Union[Game, RestrictedGame, ClassGame]
 
@@ -116,7 +116,7 @@ def _run_class_cells(
                 policy=policy,
                 scheduler=scheduler,
                 max_steps=max_steps,
-                seed=seed if isinstance(seed, int) else None,
+                seed=normalize_seed(seed),
             )
         ]
     )[0]

@@ -27,7 +27,7 @@ from repro.kernel.batch import BatchRunner
 from repro.learning.engine import LearningEngine
 from repro.learning.policies import BetterResponsePolicy
 from repro.learning.schedulers import ActivationScheduler
-from repro.util.rng import RngLike, spawn_rngs
+from repro.util.rng import RngLike, normalize_seed, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def measure_convergence(
             f"backend={backend!r} conflicts with runner.backend={runner.backend!r}; "
             "configure the backend on one of them"
         )
-    root_seed = seed if isinstance(seed, int) else None
+    root_seed = normalize_seed(seed)
     if audit_potential:
         rngs = spawn_rngs(root_seed, 2 * runs)
         engine = LearningEngine(

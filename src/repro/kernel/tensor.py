@@ -12,23 +12,35 @@ batched scheduler pick, one batched policy choice and one batched
 apply per step. Converged (or budget-exhausted) games retire from the
 arrays; the loop ends when the population is empty.
 
+The stability scan never builds a per-miner tensor. A miner's payoff
+on coin *c* is ``R_c·p/M_c``, so whether miner *i* gains by moving
+from *c* to *j* depends on *i* only through *c* and its power: each
+step builds one per-coin margin table ``T[g, c, j]`` (``(games × coins
+× coins)``), reduces it to each coin's best margin, gathers that per
+miner by assignment and compares against the miner's threshold —
+O(G·k² + G·n) per lockstep step. The policy phase reads the activated
+miner's row ``T[g, cur, :]`` of the same table.
+
 Exactness — three lanes, mirroring ``stochastic/lottery.py``'s
 int64-with-exact-fallback pattern:
 
 ``"int"``
     Every cross-multiplication fits int64 (bound:
-    ``max_reward · (total_power + max_power) < 2**62``). Comparisons
-    run directly on int64 arrays — exact by construction.
+    ``max_reward · (total_power + max_power) < 2**62``).
+    ``T = R_j·M_c − R_c·M_j`` against the threshold ``R_c·p_i`` is the
+    scalar core's strict comparison rearranged — exact by construction.
 ``"float"``
     Products would overflow int64 but the *state* (masses, rewards)
-    still fits. Comparisons run as bracketed float screens: the hot
-    lockstep tensors are float32 with a wide ``1e-5`` relative bracket
-    (accumulated float32 error is ≤ ~3e-7, so a certain verdict is
-    always right), entries inside that bracket re-run through a
-    float64 screen with a ``1e-14`` bracket (float64 error is
-    ~1e-16·ops), and anything still undecided — generically nothing —
-    is settled with arbitrary-precision Python integers. Final verdicts
-    are therefore exact regardless of which tier decided them.
+    still fits. ``T = q_lo[c]·R_j − M_j`` with ``q_lo = (M/R)·(1−ε)``
+    is a float32 table with a wide ``1e-5`` relative bracket: a margin
+    above ``p_i`` certainly improves and one at or below
+    ``p_i − slack`` certainly does not (accumulated float32 error is
+    ≤ ~3e-7, so a certain verdict is always right). Miners whose margin
+    lands inside the bracket re-run through a float64 screen with a
+    ``1e-14`` bracket (float64 error is ~1e-16·ops), and anything still
+    undecided — generically nothing — is settled with
+    arbitrary-precision Python integers. Final verdicts are therefore
+    exact regardless of which tier decided them.
 ``"exact"``
     State itself exceeds int64: the whole game falls back to the scalar
     :class:`~repro.kernel.engine.KernelView` stepper in
@@ -48,7 +60,8 @@ holds the wall.
 Restricted games ride along: a job's ``allowed`` mask (per-miner
 ascending coin indices, the :class:`~repro.kernel.engine.KernelView`
 ``_allowed_idx`` shape) becomes one boolean ``(games × miners × coins)``
-tensor AND-ed into the improvement scan.
+tensor; restricted buckets gather each miner's table row and mask it
+before reducing.
 """
 
 from __future__ import annotations
@@ -351,31 +364,16 @@ def _coin_name_ranks(jobs: Sequence) -> np.ndarray:
     return out
 
 
-def _exact_improves(powers, rewards, assign, mass, allowed_m, gi, i, j):
-    """Exact integer verdict: does miner *i* of game *gi* gain at coin *j*?
-
-    The rare fallback for entries whose float margin lands inside the
-    tolerance gap — the same strict cross-multiplication as
-    :meth:`KernelGame.better_moves`, in arbitrary precision.
-    """
-    cur = int(assign[gi, i])
-    if j == cur:
-        return False
-    if allowed_m is not None and not allowed_m[gi, i, j]:
-        return False
-    mc = int(mass[gi, cur])
-    rc = int(rewards[gi, cur])
-    return int(rewards[gi, j]) * mc > rc * (int(mass[gi, j]) + int(powers[gi, i]))
-
-
 def _f64_margin_rows(powers, rewards, assign, mass, allowed_m, gis, iis):
     """True improving rows for (game, miner) pairs via the float64 bracket.
 
     Mid-tier resolver for pairs whose float32 margin landed inside the
     wide f32 gap: recompute their margin rows with the tight float64
     bracket in one vectorized pass, then settle any entry still inside
-    the f64 gap — generically none — with exact integer arithmetic.
-    The returned rows are truth, not an approximation.
+    the f64 gap — generically none — with the strict integer
+    cross-multiplication of :meth:`KernelGame.better_moves` in
+    arbitrary precision. The returned rows are truth, not an
+    approximation.
     """
     recorder = get_recorder()
     if recorder.enabled:
@@ -391,61 +389,97 @@ def _f64_margin_rows(powers, rewards, assign, mass, allowed_m, gis, iis):
     imp = A > p[:, None]
     gap = (A > (p - slack)[:, None]) ^ imp
     if allowed_m is not None:
-        dis = ~allowed_m[gis, iis]
-        imp &= ~dis
-        gap &= ~dis
+        allow = allowed_m[gis, iis]
+        imp &= allow
+        gap &= allow
     gap_count = int(np.count_nonzero(gap))
     if gap_count:
         recorder.count("tensor.escalations.exact", gap_count)
         for ri, j in zip(*np.nonzero(gap)):
-            imp[ri, j] = _exact_improves(
-                powers, rewards, assign, mass, allowed_m, int(gis[ri]), int(iis[ri]), int(j)
+            gi, c = gis[ri], cur[ri]
+            imp[ri, j] = int(rewards[gi, j]) * int(mass[gi, c]) > int(rewards[gi, c]) * (
+                int(mass[gi, j]) + int(powers[gi, iis[ri]])
             )
     return imp
 
 
-def _improving_tensor(powers, rewards, assign, mass, allowed_m, exact, float_aux):
-    """``imp[g, i, j]``: would miner *i* of game *g* gain by moving to *j*?
+def _f32_aux(powers, rewards, mass, lane):
+    """Float-lane operands ``(R, p, p − slack)`` in float32; None for "int".
 
-    The batched twin of :meth:`KernelGame.better_moves`'s strict
-    cross-multiplication; ``j == current`` compares a payoff against
-    itself and is never improving, so it needs no explicit mask.
-
-    The float lane folds the current payoff into a per-miner ratio
-    ``q = mass_cur / r_cur``: with ``A = q·(1-ε)·R - mass``, an entry
-    is certainly improving when ``A > power`` and certainly not when
-    ``A ≤ power - slack``, where *slack* is a per-game absolute bound
-    ``2ε·(total_mass + max_power)`` covering both the ε fold and the
-    accumulated float error (≤ ~6 ulp while ε is ~45 ulp). The gap
-    between the two verdicts — generically empty — is re-resolved with
-    exact integer arithmetic.
+    float32 halves the memory traffic of float64 at identical final
+    verdicts, since anything inside the bracket is re-resolved exactly.
+    *slack* is a per-game absolute bound ``2ε·(total_mass + max_power)``
+    covering both the ε fold of ``q_lo`` and the float error; total
+    mass is a trajectory invariant, so the slack is too.
     """
-    mass_cur = np.take_along_axis(mass, assign, axis=1)
-    r_cur = np.take_along_axis(rewards, assign, axis=1)
-    if exact:
-        lhs = mass_cur[:, :, None] * rewards[:, None, :]
-        rhs = r_cur[:, :, None] * (mass[:, None, :] + powers[:, :, None])
-        imp = lhs > rhs
+    if lane == "int":
+        return None
+    slack = 2.0 * _REL_TOL_F32 * (mass.sum(axis=1) + powers.max(axis=1))
+    return (
+        rewards.astype(np.float32),
+        powers.astype(np.float32),
+        (powers.astype(np.float64) - slack[:, None]).astype(np.float32),
+    )
+
+
+def _scan(powers, rewards, assign, mass, allowed_m, f32):
+    """The per-coin margin table and exact per-miner instability.
+
+    ``T[g, c, j]`` is the module docstring's lane formula. ``j == c``
+    compares a payoff against itself: ``T[c, c]`` is 0 (int) or about
+    ``−ε·M_c`` (float), never above a threshold, so the diagonal needs
+    no mask. Unrestricted games reduce the table to each coin's best
+    margin, then gather per miner; restricted games gather each miner's
+    row, mask it, then reduce. Float-lane miners whose best margin lands
+    inside the bracket are re-resolved by :func:`_f64_margin_rows`.
+    """
+    if f32 is None:
+        table = mass[:, :, None] * rewards[:, None, :] - rewards[:, :, None] * mass[:, None, :]
     else:
-        powers_f, rewards_f = float_aux
-        q_lo = (mass_cur / r_cur) * (1.0 - _REL_TOL)
-        A = q_lo[:, :, None] * rewards_f[:, None, :]
-        A -= mass.astype(np.float64)[:, None, :]
-        slack = 2.0 * _REL_TOL * (mass.sum(axis=1) + powers.max(axis=1)).astype(np.float64)
-        imp = A > powers_f[:, :, None]
-        gap = (A > (powers_f - slack[:, None])[:, :, None]) ^ imp
-        if allowed_m is not None:
-            gap &= allowed_m
-        gap_count = int(np.count_nonzero(gap))
-        if gap_count:
-            get_recorder().count("tensor.escalations.exact", gap_count)
-            for gi, i, j in zip(*np.nonzero(gap)):
-                imp[gi, i, j] = _exact_improves(
-                    powers, rewards, assign, mass, allowed_m, gi, i, j
-                )
-    if allowed_m is not None:
-        imp &= allowed_m
-    return imp
+        rewards32, p32, p_gap32 = f32
+        mass32 = mass.astype(np.float32)
+        q_lo = (mass32 / rewards32) * _LO_F32
+        table = q_lo[:, :, None] * rewards32[:, None, :]
+        table -= mass32[:, None, :]
+    if allowed_m is None:
+        top = np.take_along_axis(table.max(axis=2), assign, axis=1)
+    else:
+        lowest = np.iinfo(np.int64).min if f32 is None else -np.inf
+        rows = np.arange(len(assign))[:, None]
+        top = np.where(allowed_m, table[rows, assign], lowest).max(axis=2)
+    if f32 is None:
+        return table, top > np.take_along_axis(rewards, assign, axis=1) * powers
+    unstable = top > p32
+    gap = (top > p_gap32) & ~unstable
+    if gap.any():
+        gis, iis = np.nonzero(gap)
+        unstable[gis, iis] = _f64_margin_rows(
+            powers, rewards, assign, mass, allowed_m, gis, iis
+        ).any(axis=1)
+    return table, unstable
+
+
+def _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner):
+    """Exact improving-coin mask ``(G, k)`` of one miner per game.
+
+    The policy phase's read of :func:`_scan`'s table: row
+    ``T[g, assign[g, miner[g]], :]`` against that miner's thresholds.
+    """
+    rows = np.arange(assign.shape[0])
+    cur = assign[rows, miner]
+    row = table[rows, cur]
+    allow_sel = allowed_m[rows, miner] if allowed_m is not None else True
+    if f32 is None:
+        return (row > (rewards[rows, cur] * powers[rows, miner])[:, None]) & allow_sel
+    _, p32, p_gap32 = f32
+    mrow = (row > p32[rows, miner][:, None]) & allow_sel
+    row_gap = (row > p_gap32[rows, miner][:, None]) & ~mrow & allow_sel
+    if row_gap.any():
+        # Certain f32 verdicts and f64 truth agree, so whole-row
+        # replacement for any game with a gap entry is safe.
+        gis = np.flatnonzero(row_gap.any(axis=1))
+        mrow[gis] = _f64_margin_rows(powers, rewards, assign, mass, allowed_m, gis, miner[gis])
+    return mrow
 
 
 def _best_response_targets(rewards, mass, cur, p_sel, allow_sel, exact, rewards_f):
@@ -581,66 +615,19 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     cursor = np.zeros(total, dtype=np.int64) if sch == "round-robin" else None
     prio = _activation_priorities(jobs, sch) if sch in ("largest", "smallest") else None
     rank = _coin_name_ranks(jobs) if pol in ("minimal", "max-rpu") else None
-    rewards_f = p32 = p_gap32 = rewards_f32 = disallowed = None
-    scratch_a = scratch_f = ones_k = None
-    if not exact:
-        # The hot lockstep tensors run in float32 with a wide bracket
-        # (_REL_TOL_F32 ≈ 1e-5 versus ≤ ~3e-7 accumulated error): half
-        # the memory traffic of float64 at identical final verdicts,
-        # since anything inside the bracket is re-resolved exactly. The
-        # per-coin scan helpers below keep the tight float64 bracket.
-        rewards_f32 = rewards.astype(np.float32)
-        p32 = powers.astype(np.float32)
-        # Total mass is a trajectory invariant, so the per-game absolute
-        # slack covering the ε fold and float error is too.
-        slack = 2.0 * _REL_TOL_F32 * (mass.sum(axis=1) + powers.max(axis=1))
-        p_gap32 = (powers.astype(np.float64) - slack[:, None]).astype(np.float32)
-        disallowed = ~allowed_m if allowed_m is not None else None
-        scratch_a = np.empty((total, n, k), dtype=np.float32)
-        scratch_f = np.empty((total, n, k), dtype=np.float32)
-        ones_k = np.ones(k, dtype=np.float32)
-        if pol in ("best", "minimal", "max-rpu", "epsilon"):
-            rewards_f = rewards.astype(np.float64)
+    f32 = _f32_aux(powers, rewards, mass, lane)
+    rewards_f = None
+    if not exact and pol in ("best", "minimal", "max-rpu", "epsilon"):
+        rewards_f = rewards.astype(np.float64)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
     while owner.size:
-        if exact:
-            imp = _improving_tensor(powers, rewards, assign, mass, allowed_m, True, None)
-            unstable = imp.any(axis=2)
-        else:
-            # Margin tensor A[g, i, j] = q_lo·R[j] - mass[j]: miner i
-            # certainly improves at j when A > power_i, certainly does
-            # not when A ≤ power_i - slack. Only per-miner counts (via a
-            # BLAS matvec over a 0/1 indicator — faster than any numpy
-            # axis reduce here) and the activated miner's row are ever
-            # read, so no (g, n, k) boolean is materialized.
-            g0 = owner.size
-            A = scratch_a[:g0]
-            F = scratch_f[:g0]
-            mass32 = mass.astype(np.float32)
-            q_lo = np.take_along_axis((mass32 / rewards_f32) * _LO_F32, assign, axis=1)
-            np.multiply(q_lo[:, :, None], rewards_f32[:, None, :], out=A)
-            A -= mass32[:, None, :]
-            if disallowed is not None:
-                np.copyto(A, np.float32(-np.inf), where=disallowed)
-            flat = F.reshape(g0 * n, k)
-            np.greater(A, p32[:, :, None], out=F, casting="unsafe")
-            cnt_strict = flat @ ones_k
-            np.greater(A, p_gap32[:, :, None], out=F, casting="unsafe")
-            cnt_loose = flat @ ones_k
-            unstable = (cnt_strict > 0).reshape(g0, n)
-            gap = ((cnt_strict == 0) & (cnt_loose > 0)).reshape(g0, n)
-            if np.count_nonzero(gap):
-                gis, iis = np.nonzero(gap)
-                unstable[gis, iis] = _f64_margin_rows(
-                    powers, rewards, assign, mass, allowed_m, gis, iis
-                ).any(axis=1)
+        table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32)
         nu = np.count_nonzero(unstable, axis=1)
 
         # Retire converged games, then budget-exhausted ones — the same
         # order the scalar loop checks (stability first, so a run that
         # is stable exactly at budget still counts as converged).
-        live = None
         done = nu == 0
         exhausted = ~done & (steps >= budgets)
         if done.any() or exhausted.any():
@@ -663,7 +650,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             if not keep.any():
                 break
             sel = np.flatnonzero(keep)
-            owner, assign, mass = owner[keep], assign[keep], mass[keep]
+            owner, assign, mass, table = owner[keep], assign[keep], mass[keep], table[keep]
             powers, rewards = powers[keep], rewards[keep]
             steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
             unstable, nu = unstable[keep], nu[keep]
@@ -676,28 +663,21 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 prio = prio[keep]
             if rank is not None:
                 rank = rank[keep]
-            if exact:
-                imp = imp[keep]
-            else:
-                p32, p_gap32, rewards_f32 = p32[keep], p_gap32[keep], rewards_f32[keep]
-                if rewards_f is not None:
-                    rewards_f = rewards_f[keep]
-                if disallowed is not None:
-                    disallowed = disallowed[keep]
-                # A stays in pre-compaction row order; live maps each
-                # surviving game back to its scratch row for the policy
-                # phase's (g, k) row gather.
-                live = sel
+            if f32 is not None:
+                f32 = tuple(a[keep] for a in f32)
+            if rewards_f is not None:
+                rewards_f = rewards_f[keep]
 
         g = owner.size
         rows = np.arange(g)
 
         # Scheduler phase: one activated miner per game. Per-game draws
         # happen on each job's own generator, in the same order and with
-        # the same bounds as the scalar scheduler.
+        # the same bounds as the scalar scheduler. A bound-1 draw returns
+        # 0 without advancing the generator, so it is skipped.
         if sch == "uniform":
-            draws = np.empty(g, dtype=np.int64)
-            for gi in range(g):
+            draws = np.zeros(g, dtype=np.int64)
+            for gi in np.flatnonzero(nu > 1).tolist():
                 draws[gi] = rngs[gi].integers(0, int(nu[gi]))
             miner = (np.cumsum(unstable, axis=1) > draws[:, None]).argmax(axis=1)
         elif sch == "round-robin":
@@ -712,26 +692,13 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         cur = assign[rows, miner]
         p_sel = powers[rows, miner]
         allow_sel = allowed_m[rows, miner] if allowed_m is not None else None
-        if exact:
-            mrow = imp[rows, miner]
-        else:
-            arow = A[rows, miner] if live is None else A[live, miner]
-            p_self = p32[rows, miner]
-            mrow = arow > p_self[:, None]
-            row_gap = (arow > p_gap32[rows, miner][:, None]) & ~mrow
-            if np.count_nonzero(row_gap):
-                # Certain f32 verdicts and f64 truth agree, so whole-row
-                # replacement for any game with a gap entry is safe.
-                gis = np.flatnonzero(row_gap.any(axis=1))
-                mrow[gis] = _f64_margin_rows(
-                    powers, rewards, assign, mass, allowed_m, gis, miner[gis]
-                )
+        mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
         if pol == "first":
             target = mrow.argmax(axis=1)
         elif pol == "random":
             counts = np.count_nonzero(mrow, axis=1)
-            draws = np.empty(g, dtype=np.int64)
-            for gi in range(g):
+            draws = np.zeros(g, dtype=np.int64)
+            for gi in np.flatnonzero(counts > 1).tolist():
                 draws[gi] = rngs[gi].integers(0, int(counts[gi]))
             target = (np.cumsum(mrow, axis=1) > draws[:, None]).argmax(axis=1)
         elif pol == "best":
@@ -752,7 +719,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             for gi in range(g):
                 gen = rngs[gi]
                 if gen.random() < eps:
-                    draw = int(gen.integers(0, int(counts[gi])))
+                    draw = int(gen.integers(0, int(counts[gi]))) if counts[gi] > 1 else 0
                     target[gi] = int((cum[gi] > draw).argmax())
                 else:
                     target[gi] = greedy[gi]
@@ -820,12 +787,9 @@ def stable_mask(
         for i, coins in enumerate(allowed):
             row_mask[i, list(coins)] = True
         allowed_m = np.broadcast_to(row_mask, (G, n, k))
-    exact = lane == "int"
-    float_aux = None
-    if not exact:
-        float_aux = (powers.astype(np.float64), rewards.astype(np.float64))
-    imp = _improving_tensor(powers, rewards, assigns, mass, allowed_m, exact, float_aux)
-    return ~imp.any(axis=(1, 2))
+    f32 = _f32_aux(powers, rewards, mass, lane)
+    _, unstable = _scan(powers, rewards, assigns, mass, allowed_m, f32)
+    return ~unstable.any(axis=1)
 
 
 # ----------------------------------------------------------------------

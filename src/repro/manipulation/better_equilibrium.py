@@ -86,7 +86,7 @@ def find_better_equilibrium_sampled(
     endpoint is a genuine equilibrium (Theorem 1), so any witness found
     is exact — but absence of a witness proves nothing.
     """
-    rngs = spawn_rngs(seed if isinstance(seed, int) else None, 2 * samples)
+    rngs = spawn_rngs(seed, 2 * samples)
     engine = LearningEngine(record_configurations=False)
     best: Optional[Improvement] = None
     for index in range(samples):

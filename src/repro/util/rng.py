@@ -31,13 +31,43 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     raise TypeError(f"seed must be None, int or numpy Generator, got {type(seed).__name__}")
 
 
-def spawn_rngs(seed: RngLike, count: int) -> Sequence[np.random.Generator]:
+def normalize_seed(
+    seed: Union[RngLike, np.random.SeedSequence],
+) -> Union[int, np.random.SeedSequence, None]:
+    """The root seed a batch entry point spawns its streams from.
+
+    Every seed type is honoured deterministically. An ``int`` (Python or
+    numpy) becomes a Python ``int``, so integer seeds keep the streams
+    they always had; a ``SeedSequence`` passes through; a ``Generator``
+    gives its next spawned child sequence (:meth:`Generator.spawn`), so
+    equal generators give equal roots and repeated calls on one
+    generator give independent ones. ``None`` stays ``None`` — fresh
+    entropy.
+    """
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, np.random.Generator):
+        return seed.bit_generator.seed_seq.spawn(1)[0]
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    raise TypeError(
+        "seed must be None, int, numpy SeedSequence or Generator, "
+        f"got {type(seed).__name__}"
+    )
+
+
+def spawn_rngs(
+    seed: Union[RngLike, np.random.SeedSequence], count: int
+) -> Sequence[np.random.Generator]:
     """Split one seed into *count* independent generators.
 
     Used by parameter sweeps so each cell of the sweep gets its own
     stream and reordering cells does not change any cell's randomness.
+    *seed* is read through :func:`normalize_seed`.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(seed if isinstance(seed, (int, np.integer)) else None)
+    root = normalize_seed(seed)
+    if not isinstance(root, np.random.SeedSequence):
+        root = np.random.SeedSequence(root)
     return [np.random.default_rng(child) for child in root.spawn(count)]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.analysis.convergence import convergence_sweep, measure_convergence
@@ -158,3 +159,54 @@ class TestSecurity:
             assert attacker.power / total > Fraction(1, 2)
             return
         pytest.skip("no dominance target in 10 seeds")
+
+
+SEED_TYPES = {
+    "int": lambda: 5,
+    "np.integer": lambda: np.int64(5),
+    "SeedSequence": lambda: np.random.SeedSequence(5),
+    "Generator": lambda: np.random.default_rng(5),
+}
+
+
+@pytest.mark.parametrize("seed_type", sorted(SEED_TYPES))
+def test_seeded_entry_points_honour_every_seed_type(seed_type):
+    """Equal seeds of any type give equal results; none is swapped for entropy."""
+    import warnings
+
+    from repro.analysis.basins import basin_profile
+    from repro.analysis.classes import class_basin_profile, measure_class_convergence
+    from repro.core.factories import random_configuration, random_game
+    from repro.kernel.batch import BatchRunner
+    from repro.manipulation.better_equilibrium import find_better_equilibrium_sampled
+
+    game = random_game(5, 2, seed=1)
+    current = random_configuration(game, seed=2)
+
+    def runner_basins(seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with BatchRunner(executor="serial") as runner:
+                return basin_profile(game, samples=10, seed=seed, runner=runner).counts
+
+    calls = {
+        "measure_convergence": lambda seed: measure_convergence(game, runs=10, seed=seed),
+        "basin_profile": lambda seed: basin_profile(game, samples=10, seed=seed).counts,
+        "basin_profile(runner=)": runner_basins,
+        "measure_class_convergence": lambda seed: measure_class_convergence(
+            game, runs=10, seed=seed
+        ),
+        "class_basin_profile": lambda seed: class_basin_profile(
+            game, samples=10, seed=seed
+        ).counts,
+        "find_better_equilibrium_sampled": lambda seed: find_better_equilibrium_sampled(
+            game, current, samples=10, seed=seed
+        ),
+    }
+    make_seed = SEED_TYPES[seed_type]
+    for name, call in calls.items():
+        first = call(make_seed())
+        assert all(call(make_seed()) == first for _ in range(2)), name
+        if seed_type == "np.integer":
+            assert first == call(5), name
+

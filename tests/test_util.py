@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import make_rng, spawn_rngs
+from repro.util.rng import make_rng, normalize_seed, spawn_rngs
 from repro.util.tables import Table, format_table
 from repro.util.validation import require, require_type
 
@@ -60,6 +60,43 @@ class TestRng:
         first = [rng.integers(0, 10**9) for rng in spawn_rngs(5, 3)]
         second = [rng.integers(0, 10**9) for rng in spawn_rngs(5, 3)]
         assert first == second
+
+    def test_normalize_seed_keeps_ints(self):
+        assert normalize_seed(5) == 5 and type(normalize_seed(5)) is int
+        assert normalize_seed(np.int64(5)) == 5 and type(normalize_seed(np.int64(5))) is int
+        assert normalize_seed(None) is None
+        sequence = np.random.SeedSequence(5)
+        assert normalize_seed(sequence) is sequence
+        with pytest.raises(TypeError):
+            normalize_seed("seed")
+
+    def test_normalize_seed_splits_generators(self):
+        a = normalize_seed(np.random.default_rng(5))
+        b = normalize_seed(np.random.default_rng(5))
+        assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
+        shared = np.random.default_rng(5)
+        assert normalize_seed(shared).spawn_key != normalize_seed(shared).spawn_key
+
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 5,
+            lambda: np.int64(5),
+            lambda: np.random.SeedSequence(5),
+            lambda: np.random.default_rng(5),
+        ],
+        ids=["int", "np.integer", "SeedSequence", "Generator"],
+    )
+    def test_spawn_deterministic_for_every_seed_type(self, make_seed):
+        first = [rng.integers(0, 10**9) for rng in spawn_rngs(make_seed(), 3)]
+        second = [rng.integers(0, 10**9) for rng in spawn_rngs(make_seed(), 3)]
+        assert first == second
+
+    def test_spawn_integer_streams_unchanged(self):
+        expected = np.random.SeedSequence(5).spawn(3)
+        for seed in (5, np.int64(5)):
+            draws = [rng.integers(0, 10**9) for rng in spawn_rngs(seed, 3)]
+            assert draws == [np.random.default_rng(c).integers(0, 10**9) for c in expected]
 
     def test_spawn_count_validated(self):
         with pytest.raises(ValueError):
