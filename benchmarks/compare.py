@@ -12,10 +12,13 @@ meant to be pasted into PR descriptions, next to the CI ``bench.json``
 artifacts it consumes.
 
 Both files carry the ``repro_stamp`` the benchmark harness embeds
-(library/python/numpy versions). When the stamps disagree the numbers
-measure different code, not a speedup, so the comparison is refused
-with exit code 2 — override with ``--force`` if you really mean it.
-Files without a stamp (pre-stamp artifacts) compare with a warning.
+(library/python/numpy versions, platform, hostname). Comparing across
+library versions is the point — every change bumps it — but when the
+python, numpy or platform stamps disagree the numbers measure a
+different toolchain, not a speedup, so the comparison is refused with
+exit code 2 — override with ``--force`` if you really mean it. The
+hostname is not compared: it differs on every CI runner. Files without
+a stamp (pre-stamp artifacts) compare with a warning.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 #: Stamp fields that must agree for a comparison to be meaningful.
-_STAMP_KEYS = ("repro_version", "python", "numpy")
+_STAMP_KEYS = ("python", "numpy", "platform")
 
 
 def _load(path: str) -> Tuple[Dict[str, float], Optional[Dict[str, Any]], str]:
@@ -56,7 +59,7 @@ def _check_stamps(
             if stamp is None:
                 print(
                     f"warning: {label} bench.json carries no repro_stamp; "
-                    "cannot verify it ran the same library version",
+                    "cannot verify it ran the same toolchain",
                     file=sys.stderr,
                 )
         return True
@@ -76,8 +79,8 @@ def _check_stamps(
     if force:
         return True
     print(
-        "these artifacts measure different code/toolchains, not a speedup; "
-        "rerun the baseline on this version or pass --force",
+        "these artifacts measure different toolchains, not a speedup; "
+        "rerun the baseline on this toolchain or pass --force",
         file=sys.stderr,
     )
     return False

@@ -14,29 +14,20 @@ than ``--tolerance`` (fractional — 0.03 allows 3%).
 
 Missing baselines (first run on a branch, expired CI artifact) and
 empty intersections skip with exit 0 so the guard never blocks a build
-for reasons other than a real regression; stamp mismatches between the
-two files are reported but also skip, since cross-version timings are
-not evidence of overhead.
+for reasons other than a real regression. Baselines from another
+library version are compared — that is what the guard is for — but a
+python, numpy or platform mismatch (``compare._STAMP_KEYS``) is
+reported and skips, since cross-toolchain timings are not evidence of
+overhead.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Any, Dict, Optional, Tuple
 
-_STAMP_KEYS = ("repro_version", "python", "numpy")
-
-
-def _load(path: str) -> Tuple[Dict[str, float], Optional[Dict[str, Any]]]:
-    with open(path) as handle:
-        data = json.load(handle)
-    means = {
-        bench["fullname"]: bench["stats"]["mean"] for bench in data.get("benchmarks", [])
-    }
-    return means, data.get("repro_stamp")
+from compare import _STAMP_KEYS, _load
 
 
 def main(argv=None) -> int:
@@ -59,8 +50,8 @@ def main(argv=None) -> int:
     if not os.path.exists(args.baseline):
         print(f"overhead guard: no baseline at {args.baseline}; skipping")
         return 0
-    baseline, base_stamp = _load(args.baseline)
-    candidate, cand_stamp = _load(args.candidate)
+    baseline, base_stamp, _ = _load(args.baseline)
+    candidate, cand_stamp, _ = _load(args.candidate)
     if base_stamp and cand_stamp:
         mismatched = [
             key for key in _STAMP_KEYS if base_stamp.get(key) != cand_stamp.get(key)
@@ -68,7 +59,7 @@ def main(argv=None) -> int:
         if mismatched:
             print(
                 "overhead guard: environment stamps differ "
-                f"({', '.join(mismatched)}); cross-version timings are not "
+                f"({', '.join(mismatched)}); cross-toolchain timings are not "
                 "overhead evidence; skipping"
             )
             return 0

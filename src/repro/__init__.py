@@ -74,13 +74,10 @@ the tensor kernel replicates the scalar stepper's draw sequence
 bit-for-bit, so **every executor returns identical results** —
 ``tests/test_tensor_parity.py`` asserts finals, step counts and final
 RNG states match the scalar :class:`~repro.kernel.KernelView` stepper
-on hundreds of randomized games. The older per-layer runners
-(:class:`repro.kernel.BatchRunner`,
-:class:`~repro.stochastic.noisy_engine.NoisyBatchRunner`) remain as
-the implementation substrate, and the experiment runners' ``workers=``
-knob is a deprecated spelling of ``executor="process"``. Measured:
-a 1000-trajectory E2-style population (100×10) runs ~12× faster
-vectorized than multi-process on one core.
+on hundreds of randomized games. ``run_many`` is the only batch entry
+point; :func:`repro.sweep.run_sweep` layers caching and sharding on
+it. Measured: a 1000-trajectory E2-style population (100×10) runs
+~12× faster vectorized than multi-process on one core.
 
 Population-compressed dynamics
 ~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
@@ -149,9 +146,9 @@ per-decision sample budget, and the risk layer measures what the
 expectation hides — reward variance (closed form and sampled),
 ruin-style tail probabilities, time-to-equilibrium distributions, and
 the misconvergence rate of noisy learning against the exact
-ConfigSpace equilibrium set. Fixed-seed noisy batches are bit-identical
-across serial, threaded and multi-process execution
-(:class:`~repro.stochastic.noisy_engine.NoisyBatchRunner`), and a
+ConfigSpace equilibrium set. Fixed-seed noisy batches
+(``RunSpec(kind="noisy")``) are bit-identical across serial, threaded,
+multi-process and vectorized execution, and a
 chainsim bridge reconciles the lottery with the event-driven PoW
 simulator. E15/E16 report the headline numbers.
 
@@ -174,8 +171,8 @@ Subpackages
     ``backend="space"``, the tensor population kernel
     (:mod:`repro.kernel.tensor`) behind ``executor="vectorized"``, the
     population-compressed class kernel (:mod:`repro.kernel.classes`)
-    behind ``kind="classes"`` / ``backend="class"``, and the
-    :class:`~repro.kernel.batch.BatchRunner` pool substrate.
+    behind ``kind="classes"`` / ``backend="class"``, and the pool
+    helpers behind :func:`repro.run_many` (:mod:`repro.kernel.batch`).
 ``repro.learning``
     The :class:`~repro.learning.view.GameView` strategy-view protocol,
     better-response policies × activation schedulers, and the single
@@ -200,7 +197,8 @@ Subpackages
 ``repro.stochastic``
     The Monte Carlo realization layer: exact-rational block lotteries,
     payoff estimators with confidence intervals, the noisy
-    better-response engine + batch runner, risk/misconvergence
+    better-response engine and its lockstep population stepper,
+    risk/misconvergence
     analysis, and the chainsim bridge.
 ``repro.experiments``
     The E1–E16 experiment runners behind ``benchmarks/``.
@@ -252,7 +250,6 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.kernel import (
-    BatchRunner,
     ClassGame,
     ClassRunResult,
     ClassView,
@@ -260,7 +257,6 @@ from repro.kernel import (
     TrajectorySummary,
     run_class_better_response,
     run_class_simultaneous,
-    run_trajectory_batch,
 )
 from repro.learning import (
     BestResponsePolicy,
@@ -276,13 +272,11 @@ from repro.run import EXECUTORS, RunSpec, run_many
 from repro.kernel.batch import CellStats
 from repro.sweep import SweepError, SweepGrid, labeled, merge_sweep, run_sweep
 from repro.stochastic import (
-    NoisyBatchRunner,
     NoisyLearningEngine,
     NoisyRunResult,
     estimate_payoffs,
     misconvergence_profile,
     reward_risk,
-    run_noisy_batch,
     sample_block_wins,
 )
 
@@ -316,7 +310,6 @@ __all__ = [
     "NotAnEquilibriumError",
     "RewardDesignError",
     "SimulationError",
-    "BatchRunner",
     "ClassGame",
     "ClassRunResult",
     "ClassView",
@@ -324,7 +317,6 @@ __all__ = [
     "TrajectorySummary",
     "run_class_better_response",
     "run_class_simultaneous",
-    "run_trajectory_batch",
     "BestResponsePolicy",
     "LearningEngine",
     "MinimalGainPolicy",
@@ -343,13 +335,11 @@ __all__ = [
     "merge_sweep",
     "run_sweep",
     "obs",
-    "NoisyBatchRunner",
     "NoisyLearningEngine",
     "NoisyRunResult",
     "estimate_payoffs",
     "misconvergence_profile",
     "reward_risk",
-    "run_noisy_batch",
     "sample_block_wins",
     "__version__",
 ]

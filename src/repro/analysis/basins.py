@@ -18,14 +18,13 @@ against "pay for the mechanism".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.configuration import Configuration
 from repro.core.game import Game
-from repro.kernel.batch import BatchRunner
 from repro.learning.policies import BetterResponsePolicy
+from repro.run import RunSpec, run_many
 from repro.util.rng import RngLike, normalize_seed
 
 
@@ -90,7 +89,6 @@ def basin_profile(
     backend: str = "fast",
     executor: str = "auto",
     max_workers: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
 ) -> BasinProfile:
     """Estimate the landing distribution from uniform random starts.
 
@@ -99,47 +97,23 @@ def basin_profile(
     ``"auto"``); the seeding scheme is the library-wide convention
     (stream ``2i`` draws start *i*, stream ``2i+1`` drives its engine),
     so the counts are identical in every mode.
-
-    .. deprecated:: 1.2
-        ``runner=`` — pass ``executor=`` / ``max_workers=`` instead.
     """
     if samples < 1:
         raise ValueError(f"samples must be ≥ 1, got {samples}")
-    counts: Dict[Configuration, int] = {}
-    if runner is not None:
-        warnings.warn(
-            "runner= is deprecated; pass executor= (and max_workers=) instead — "
-            "execution now routes through repro.run_many",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if runner.backend != backend:
-            raise ValueError(
-                f"backend={backend!r} conflicts with runner.backend="
-                f"{runner.backend!r}; configure the backend on one of them"
+    summaries = run_many(
+        [
+            RunSpec(
+                game=game,
+                runs=samples,
+                policy=policy,
+                backend=backend,
+                seed=normalize_seed(seed),
             )
-        summaries = runner.run(
-            game,
-            runs=samples,
-            policy=policy,
-            seed=normalize_seed(seed),
-        )
-    else:
-        from repro.run import RunSpec, run_many
-
-        summaries = run_many(
-            [
-                RunSpec(
-                    game=game,
-                    runs=samples,
-                    policy=policy,
-                    backend=backend,
-                    seed=normalize_seed(seed),
-                )
-            ],
-            executor=executor,
-            max_workers=max_workers,
-        )[0]
+        ],
+        executor=executor,
+        max_workers=max_workers,
+    )[0]
+    counts: Dict[Configuration, int] = {}
     for summary in summaries:
         final = summary.final_configuration(game)
         counts[final] = counts.get(final, 0) + 1

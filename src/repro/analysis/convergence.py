@@ -9,12 +9,10 @@ Execution routes through :func:`repro.run_many` (one
 to pick the mechanism — ``"vectorized"`` for the tensor population
 kernel, ``"process"``/``"thread"`` for pools, ``"auto"`` (default) to
 let the library choose. Statistics are identical across every mode.
-The old ``runner=`` kwarg still works but is deprecated.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -23,10 +21,10 @@ import numpy as np
 from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.core.potential import is_strictly_increasing_along
-from repro.kernel.batch import BatchRunner
 from repro.learning.engine import LearningEngine
 from repro.learning.policies import BetterResponsePolicy
 from repro.learning.schedulers import ActivationScheduler
+from repro.run import RunSpec, run_many
 from repro.util.rng import RngLike, normalize_seed, spawn_rngs
 
 
@@ -67,16 +65,6 @@ def stats_from_steps(steps: Sequence[int], *, monotone: int) -> ConvergenceStats
     )
 
 
-def _deprecated_runner(runner: Optional[BatchRunner]) -> None:
-    if runner is not None:
-        warnings.warn(
-            "runner= is deprecated; pass executor= (and max_workers=) instead — "
-            "execution now routes through repro.run_many",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def measure_convergence(
     game: Game,
     *,
@@ -88,7 +76,6 @@ def measure_convergence(
     backend: str = "fast",
     executor: str = "auto",
     max_workers: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
 ) -> ConvergenceStats:
     """Run learning *runs* times from random starts and summarize steps.
 
@@ -97,18 +84,9 @@ def measure_convergence(
     *executor* selects the mechanism (see :func:`repro.run_many` —
     identical statistics in every mode). Potential audits need full
     trajectories and therefore always run serially in-process.
-
-    .. deprecated:: 1.2
-        ``runner=`` — pass ``executor=`` / ``max_workers=`` instead.
     """
     if runs < 1:
         raise ValueError(f"runs must be ≥ 1, got {runs}")
-    _deprecated_runner(runner)
-    if runner is not None and runner.backend != backend:
-        raise ValueError(
-            f"backend={backend!r} conflicts with runner.backend={runner.backend!r}; "
-            "configure the backend on one of them"
-        )
     root_seed = normalize_seed(seed)
     if audit_potential:
         rngs = spawn_rngs(root_seed, 2 * runs)
@@ -127,29 +105,23 @@ def measure_convergence(
             if is_strictly_increasing_along(game, trajectory.configurations):
                 monotone += 1
         return stats_from_steps(steps, monotone=monotone)
-    if runner is not None:
-        summaries = runner.run(
-            game, runs=runs, policy=policy, scheduler=scheduler, seed=root_seed
-        )
-        return stats_from_steps([summary.steps for summary in summaries], monotone=runs)
-    # One-cell ephemeral sweep in streaming mode: the fabric resolves
-    # the seed (explicit ints pass through untouched, so numbers match
-    # the pre-fabric route exactly) and the workers fold step counts
-    # without materializing per-run summaries.
-    from repro.sweep import SweepGrid, labeled, run_sweep
-
-    grid = SweepGrid(
-        {"game": [labeled("game", game)]},
-        base=dict(
-            runs=runs,
-            policy=policy,
-            scheduler=scheduler,
-            backend=backend,
-            seed=root_seed,
-            stream=True,
-        ),
-    )
-    cell_stats = run_sweep(grid, executor=executor, max_workers=max_workers).in_order()[0]
+    # One streaming cell: the workers fold step counts without
+    # materializing per-run summaries.
+    cell_stats = run_many(
+        [
+            RunSpec(
+                game=game,
+                runs=runs,
+                policy=policy,
+                scheduler=scheduler,
+                backend=backend,
+                seed=root_seed,
+                stream=True,
+            )
+        ],
+        executor=executor,
+        max_workers=max_workers,
+    )[0]
     return stats_from_steps(list(cell_stats.steps), monotone=runs)
 
 
@@ -165,7 +137,6 @@ def convergence_sweep(
     backend: str = "fast",
     executor: str = "auto",
     max_workers: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
 ) -> Dict[tuple, ConvergenceStats]:
     """The E2 grid: convergence stats per (n miners, k coins) cell."""
     results: Dict[tuple, ConvergenceStats] = {}
@@ -187,6 +158,5 @@ def convergence_sweep(
                 backend=backend,
                 executor=executor,
                 max_workers=max_workers,
-                runner=runner,
             )
     return results

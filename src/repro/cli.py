@@ -4,13 +4,12 @@ Commands
 --------
 ``list``
     Show the available experiments with one-line descriptions.
-``run E7 [--seed N] [--fast] [--backend B] [--executor X] [--workers N]
-[--metrics] [--trace PATH]``
+``run E7 [--seed N] [--fast] [--backend B] [--executor X] [--metrics]
+[--trace PATH]``
     Run one experiment and print its table (``--fast`` shrinks the
-    workload for a quick look; ``--backend``/``--executor``/``--workers``
-    are passed through to runners that accept them — same numbers,
-    different speed; ``--workers`` is the deprecated spelling of
-    ``--executor process``). ``--metrics`` prints the observability
+    workload for a quick look; ``--backend``/``--executor`` are passed
+    through to runners that accept them — same numbers, different
+    speed). ``--metrics`` prints the observability
     summary table; ``--trace PATH`` writes a JSONL event trace plus a
     ``PATH.manifest.json`` run manifest (args, seed, versions, wall
     time, counter totals). Existing trace/manifest files are never
@@ -87,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="batch mechanism for runners that accept one (identical results)",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="deprecated: use --executor process (0 = serial)",
-    )
-    run.add_argument(
         "--metrics",
         action="store_true",
         help="collect counters/timers and print the observability summary",
@@ -146,12 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="batch mechanism (identical results)",
     )
     sweep.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="deprecated: use --executor process (0 = serial)",
-    )
-    sweep.add_argument(
         "--wave",
         type=int,
         default=1,
@@ -193,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "serial", "thread", "process", "vectorized"),
         default="auto",
         help="batch mechanism for the basin sampling (identical results)",
-    )
-    demo.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="deprecated: use --executor process",
     )
     demo.add_argument(
         "--noisy",
@@ -247,7 +228,6 @@ def _cmd_run(
     out,
     backend: Optional[str] = None,
     executor: Optional[str] = None,
-    workers: Optional[int] = None,
     metrics: bool = False,
     trace: Optional[str] = None,
     force: bool = False,
@@ -261,7 +241,6 @@ def _cmd_run(
     for knob, value, accepted in (
         ("backend", backend, spec.accepts_backend),
         ("executor", executor, spec.accepts_executor),
-        ("workers", workers, spec.accepts_workers),
     ):
         if value is not None:
             if not accepted:
@@ -302,7 +281,6 @@ def _cmd_run(
                 "fast": fast,
                 "backend": backend,
                 "executor": executor,
-                "workers": workers,
             },
             seed=seed,
             executor=executor if executor is not None else "auto",
@@ -330,7 +308,6 @@ def _cmd_sweep(
     merge: bool = False,
     backend: Optional[str] = None,
     executor: str = "auto",
-    workers: int = 0,
     wave: int = 1,
     resume: bool = True,
     force: bool = False,
@@ -338,7 +315,6 @@ def _cmd_sweep(
 ) -> int:
     import os
 
-    from repro.experiments.common import resolve_execution
     from repro.sweep import SweepError, merge_sweep, run_sweep
 
     spec = EXPERIMENTS[name]
@@ -372,7 +348,6 @@ def _cmd_sweep(
         else:
             out.write(f"note: {name} does not take --backend; ignoring\n")
     grid = spec.sweep_grid(**params)
-    executor, max_workers = resolve_execution(executor=executor, workers=workers)
 
     from repro.obs import MetricsRecorder, observe, report
 
@@ -384,7 +359,6 @@ def _cmd_sweep(
                 out=directory,
                 seed=seed,
                 executor=executor,
-                max_workers=max_workers,
                 shard=shard,
                 wave=None if wave == 0 else wave,
                 resume=resume,
@@ -421,14 +395,12 @@ def _cmd_demo(
     out,
     backend: str = "fast",
     executor: str = "auto",
-    workers: int = 0,
     noisy: bool = False,
     budget: int = 64,
 ) -> int:
     from repro.analysis.basins import basin_profile
     from repro.analysis.welfare import payoff_distribution
     from repro.core.factories import random_configuration, random_game
-    from repro.experiments.common import resolve_execution
     from repro.learning.engine import LearningEngine
 
     game = random_game(miners, coins, seed=seed)
@@ -441,10 +413,8 @@ def _cmd_demo(
     out.write("payoffs:\n")
     for name, payoff in payoff_distribution(game, trajectory.final).items():
         out.write(f"  {name}: {float(payoff):.3f}\n")
-    executor, max_workers = resolve_execution(executor=executor, workers=workers)
     profile = basin_profile(
-        game, samples=25, seed=seed + 3, backend=backend,
-        executor=executor, max_workers=max_workers,
+        game, samples=25, seed=seed + 3, backend=backend, executor=executor
     )
     out.write(
         f"basins: {profile.distinct_equilibria} equilibria reached from 25 starts, "
@@ -543,14 +513,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "run":
         return _cmd_run(
             args.experiment, args.seed, args.fast, out,
-            backend=args.backend, executor=args.executor, workers=args.workers,
+            backend=args.backend, executor=args.executor,
             metrics=args.metrics, trace=args.trace, force=args.force,
         )
     if args.command == "sweep":
         return _cmd_sweep(
             args.experiment, args.seed, args.fast, out,
             directory=args.out, shard=args.shard, merge=args.merge,
-            backend=args.backend, executor=args.executor, workers=args.workers,
+            backend=args.backend, executor=args.executor,
             wave=args.wave, resume=not args.no_resume, force=args.force,
             metrics=args.metrics,
         )
@@ -563,7 +533,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "demo":
         return _cmd_demo(
             args.miners, args.coins, args.seed, out,
-            backend=args.backend, executor=args.executor, workers=args.workers,
+            backend=args.backend, executor=args.executor,
             noisy=args.noisy, budget=args.budget,
         )
     if args.command == "classes":

@@ -3,7 +3,7 @@
 Each module exposes ``run(**params) -> ExperimentResult`` plus its own
 metadata — ``DESCRIPTION``, the ``--fast`` parameter set
 (``FAST_PARAMS``) and declared CLI knob capabilities
-(``ACCEPTS_BACKEND`` / ``ACCEPTS_EXECUTOR`` / ``ACCEPTS_WORKERS``).
+(``ACCEPTS_BACKEND`` / ``ACCEPTS_EXECUTOR``).
 The :data:`EXPERIMENTS`
 registry collects that metadata into :class:`ExperimentSpec` records so
 the CLI (and the ``benchmarks/`` harness) never re-derive it from
@@ -44,12 +44,11 @@ class ExperimentSpec:
     description: str
     #: The shrunken parameter set behind the CLI's ``--fast`` flag.
     fast_params: Mapping[str, Any] = field(default_factory=dict)
-    #: Whether ``run`` takes a ``backend=`` / ``executor=`` /
-    #: ``workers=`` knob. The CLI forwards the flags only where
-    #: declared — no signature inspection.
+    #: Whether ``run`` takes a ``backend=`` / ``executor=`` knob. The
+    #: CLI forwards the flags only where declared — no signature
+    #: inspection.
     accepts_backend: bool = False
     accepts_executor: bool = False
-    accepts_workers: bool = False
     #: The experiment's grid as a :class:`~repro.sweep.SweepGrid`
     #: factory (``sweep_grid(**params)``), for experiments that route
     #: through the sweep fabric — drives ``python -m repro sweep``
@@ -66,7 +65,6 @@ def _spec(name: str, module: ModuleType) -> ExperimentSpec:
         fast_params=dict(module.FAST_PARAMS),
         accepts_backend=getattr(module, "ACCEPTS_BACKEND", False),
         accepts_executor=getattr(module, "ACCEPTS_EXECUTOR", False),
-        accepts_workers=getattr(module, "ACCEPTS_WORKERS", False),
         sweep_grid=getattr(module, "sweep_grid", None),
     )
 

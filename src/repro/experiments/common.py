@@ -3,7 +3,7 @@
 Each experiment module exposes ``run(...) -> ExperimentResult`` with
 keyword parameters sized so the default run finishes in seconds, plus
 registry metadata — ``DESCRIPTION``, ``FAST_PARAMS`` and declared
-``ACCEPTS_BACKEND``/``ACCEPTS_WORKERS`` capabilities, collected by
+``ACCEPTS_BACKEND``/``ACCEPTS_EXECUTOR`` capabilities, collected by
 :data:`repro.experiments.EXPERIMENTS`. The result couples the
 printable table (what EXPERIMENTS.md records) with a metrics dict
 (what tests and benchmarks assert on).
@@ -12,77 +12,15 @@ Learning-heavy runners additionally take ``backend=`` (``"fast"``
 integer kernel — the default — or ``"exact"`` Fractions; identical
 results) and ``executor=`` (handed to :func:`repro.run_many`, which
 picks the mechanism — tensor-vectorized populations, worker pools, or
-serial; identical results in every mode). The old ``workers=`` knob
-still works but is deprecated; :func:`resolve_execution` centralizes
-the translation.
+serial; identical results in every mode).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.kernel.batch import BatchRunner
 from repro.util.tables import Table
-
-
-def resolve_execution(
-    *, executor: str = "auto", workers: int = 0, stacklevel: int = 2
-) -> Tuple[str, Optional[int]]:
-    """The experiments' execution knobs → ``(executor, max_workers)``.
-
-    ``workers≥1`` is the deprecated spelling of "fan out over that many
-    worker processes": it emits a :class:`DeprecationWarning` and maps
-    to ``("process", workers)`` unless an explicit non-default
-    *executor* already says otherwise. Results are identical across all
-    modes, so the knobs only pick speed.
-
-    ``stacklevel`` aims the warning: the default 2 points at the direct
-    caller; shims forwarding their own ``workers=`` argument (the
-    experiment ``run()`` functions) pass 3 so the warning lands on
-    *their* caller — the line that actually wrote ``workers=``.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    if workers == 0:
-        return executor, None
-    warnings.warn(
-        "workers= is deprecated; pass executor='process' (and max_workers=) — "
-        "execution now routes through repro.run_many",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if executor == "auto":
-        return "process", workers
-    return executor, workers
-
-
-def resolve_batch_runner(
-    *,
-    backend: str = "fast",
-    workers: int = 0,
-    executor: str = "process",
-    stacklevel: int = 2,
-) -> Optional[BatchRunner]:
-    """Deprecated: the old ``workers=`` convention → an optional runner.
-
-    Kept as a shim for one release; use :func:`repro.run_many` (or
-    :func:`resolve_execution`) instead. ``workers=0`` returns ``None``
-    without warning — that was always the "no runner" spelling.
-    ``stacklevel`` follows the :func:`resolve_execution` convention.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    if workers == 0:
-        return None
-    warnings.warn(
-        "resolve_batch_runner is deprecated; route execution through "
-        "repro.run_many (see resolve_execution)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return BatchRunner(backend=backend, executor=executor, max_workers=workers)
 
 
 @dataclass

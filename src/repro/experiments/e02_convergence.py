@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.analysis.convergence import stats_from_steps
 from repro.core.factories import random_game
-from repro.experiments.common import ExperimentResult, resolve_execution
+from repro.experiments.common import ExperimentResult
 from repro.learning.policies import (
     BestResponsePolicy,
     MinimalGainPolicy,
@@ -29,9 +29,8 @@ DESCRIPTION = "Theorem 1: better-response learning always converges"
 FAST_PARAMS = dict(miner_counts=(5, 10), coin_counts=(2,), runs_per_cell=3)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--executor``/``--workers`` only where declared).
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_BACKEND = True
-ACCEPTS_WORKERS = True
 ACCEPTS_EXECUTOR = True
 
 
@@ -96,7 +95,6 @@ def run(
     seed: int = 0,
     backend: str = "fast",
     executor: str = "auto",
-    workers: int = 0,
 ) -> ExperimentResult:
     """The E2 sweep; every cell must converge in 100% of runs.
 
@@ -104,12 +102,10 @@ def run(
     ephemeral :func:`~repro.sweep.run_sweep` (all pending cells in one
     :func:`repro.run_many` call, so ``executor="auto"`` still packs
     the whole grid into one tensor population). Per-cell seeds match
-    the pre-fabric loop, so no number changes. ``workers=`` is the
-    deprecated spelling of ``executor="process"``.
+    the pre-fabric loop, so no number changes.
     """
     from repro.sweep import run_sweep
 
-    executor, max_workers = resolve_execution(executor=executor, workers=workers, stacklevel=3)
     policies = _policies()
     table = Table(
         "E2 — convergence of better-response learning (Theorem 1)",
@@ -123,7 +119,7 @@ def run(
         seed=seed,
         backend=backend,
     )
-    sweep = run_sweep(grid, executor=executor, max_workers=max_workers)
+    sweep = run_sweep(grid, executor=executor)
     labels = [
         (n, k, policy) for n in miner_counts for k in coin_counts for policy in policies
     ]

@@ -31,7 +31,7 @@ DESCRIPTION = "Proposition 1: no exact potential (cycle defect 2/3)"
 FAST_PARAMS = dict(random_games=5)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--workers`` only where declared).
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_BACKEND = True
 
 

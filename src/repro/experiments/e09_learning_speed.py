@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.convergence import stats_from_steps
 from repro.core.factories import random_game
-from repro.experiments.common import ExperimentResult, resolve_execution
+from repro.experiments.common import ExperimentResult
 from repro.learning.policies import (
     BestResponsePolicy,
     EpsilonGreedyPolicy,
@@ -37,9 +37,8 @@ DESCRIPTION = "Discussion: convergence speed by learning process"
 FAST_PARAMS = dict(miners=10, coins=3, runs=4, mwu_rounds=80)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--executor``/``--workers`` only where declared).
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_BACKEND = True
-ACCEPTS_WORKERS = True
 ACCEPTS_EXECUTOR = True
 
 
@@ -117,7 +116,6 @@ def run(
     seed: int = 0,
     backend: str = "fast",
     executor: str = "auto",
-    workers: int = 0,
 ) -> ExperimentResult:
     """Convergence speed by learning process on a fixed game family.
 
@@ -125,12 +123,10 @@ def run(
     ephemeral :func:`~repro.sweep.run_sweep` (all cells in one
     :func:`repro.run_many` call, sharing the vectorized lockstep
     buckets); per-cell seeds follow the exact draw order of the old
-    serial loop, so numbers are unchanged. ``workers=`` is the
-    deprecated spelling of ``executor="process"``.
+    serial loop, so numbers are unchanged.
     """
     from repro.sweep import run_sweep
 
-    executor, max_workers = resolve_execution(executor=executor, workers=workers, stacklevel=3)
     rngs = spawn_rngs(seed, 4)
     game = random_game(
         miners, coins, power_distribution=power_distribution, seed=rngs[0]
@@ -147,7 +143,7 @@ def run(
         seed=seed,
         backend=backend,
     )
-    sweep = run_sweep(grid, executor=executor, max_workers=max_workers)
+    sweep = run_sweep(grid, executor=executor)
     labels = [
         f"{policy.name} × {scheduler.name}"
         for policy in _policies()

@@ -25,7 +25,7 @@ DESCRIPTION = "Extension: equilibrium basins + manipulation planner"
 FAST_PARAMS = dict(games=3, miners=6, coins=2, samples=20)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--executor``/``--workers`` only where declared).
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_BACKEND = True
 ACCEPTS_EXECUTOR = True
 

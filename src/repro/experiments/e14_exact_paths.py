@@ -36,7 +36,7 @@ DESCRIPTION = "Extension: exact worst-case learning time (DAG view)"
 FAST_PARAMS = dict(games=4, miners=4, coins=2, empirical_runs=10)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--workers`` only where declared).
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_BACKEND = True
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.equilibrium import enumerate_equilibria
 from repro.core.factories import random_game
-from repro.experiments.common import ExperimentResult, resolve_execution
+from repro.experiments.common import ExperimentResult
 from repro.stochastic.risk import (
     MisconvergenceReport,
     _budget_label,
@@ -36,8 +36,7 @@ FAST_PARAMS = dict(games=1, miners=5, coins=2, budgets=(1, 16, 128), replication
     max_activations=1500)
 
 #: Declared CLI knob capabilities (the registry forwards
-#: ``--backend``/``--executor``/``--workers`` only where declared).
-ACCEPTS_WORKERS = True
+#: ``--backend``/``--executor`` only where declared).
 ACCEPTS_EXECUTOR = True
 
 
@@ -119,7 +118,6 @@ def run(
     exploration: float = 0.0,
     seed: int = 0,
     executor: str = "auto",
-    workers: int = 0,
 ) -> ExperimentResult:
     """Misconvergence rate and learning effort per sample budget.
 
@@ -128,11 +126,9 @@ def run(
     cell's replications in one :func:`repro.run_many` call); per-cell
     seeds match the pre-fabric nested loop, so numbers are unchanged.
     Final states are judged against each game's exact equilibrium set.
-    ``workers=`` is the deprecated spelling of ``executor="process"``.
     """
     from repro.sweep import run_sweep
 
-    executor, max_workers = resolve_execution(executor=executor, workers=workers, stacklevel=3)
     table = Table(
         "E15 — noisy better-response learning vs. the exact prediction",
         [
@@ -157,7 +153,7 @@ def run(
         exploration=exploration,
         seed=seed,
     )
-    sweep = run_sweep(grid, executor=executor, max_workers=max_workers)
+    sweep = run_sweep(grid, executor=executor)
     per_cell = sweep.in_order()
     rngs = spawn_rngs(seed, games)
     total_low = 0.0

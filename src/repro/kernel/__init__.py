@@ -31,11 +31,11 @@ The kernel is the performance seam of the library:
   ``backend="class"`` view with per-class scan memoization. Stable
   count profiles orbit-expand bit-for-bit to the per-miner equilibrium
   sets of :class:`ConfigSpace`.
-* :class:`~repro.kernel.batch.BatchRunner` fans independent
-  trajectories (seeds × schedulers × policies) out over
-  :mod:`concurrent.futures` workers — or hands them whole to the tensor
-  kernel (``executor="vectorized"``) — with per-run RNG streams spawned
-  from one root seed, so results are identical in every mode.
+* :mod:`repro.kernel.batch` holds the pool helpers and per-run
+  records (:class:`~repro.kernel.batch.TrajectorySummary`,
+  :class:`~repro.kernel.batch.CellStats`) behind :func:`repro.run_many`,
+  with per-run RNG streams spawned from one root seed, so results are
+  identical in every executor mode.
 * :mod:`repro.kernel.tensor` advances a whole *population* of same-shape
   games per numpy step (:func:`~repro.kernel.tensor.run_trajectory_population`,
   :func:`~repro.kernel.tensor.run_simultaneous_population`,
@@ -45,17 +45,13 @@ The kernel is the performance seam of the library:
   (exact int64 / bracketed floats with exact fallback / whole-game
   scalar fallback, see :func:`~repro.kernel.tensor.kernel_lane`).
 
-Most callers should not touch these classes directly: the library-wide
-front door is :func:`repro.run_many`, which routes
+Batches of trajectories go through :func:`repro.run_many`, which routes
 :class:`~repro.run.RunSpec` cells to the right mechanism.
 """
 
-from repro.kernel.batch import (
-    BatchRunner,
-    TrajectorySummary,
-    build_vector_jobs,
-    run_trajectory_batch,
-)
+# BatchRunner is run_many's private pool helper: importable, not exported.
+from repro.kernel.batch import BatchRunner as BatchRunner
+from repro.kernel.batch import TrajectorySummary, build_vector_jobs
 from repro.kernel.classes import (
     ClassGame,
     ClassRunResult,
@@ -78,7 +74,6 @@ from repro.kernel.tensor import (
 )
 
 __all__ = [
-    "BatchRunner",
     "ClassGame",
     "ClassRunResult",
     "ClassSimultaneousResult",
@@ -96,7 +91,6 @@ __all__ = [
     "run_class_better_response",
     "run_class_simultaneous",
     "run_simultaneous_population",
-    "run_trajectory_batch",
     "run_trajectory_population",
     "stable_mask",
 ]

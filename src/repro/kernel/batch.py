@@ -1,11 +1,13 @@
-"""Batched trajectory execution over :mod:`concurrent.futures`.
+"""The pool helpers and per-run records behind :func:`repro.run_many`.
 
 Multi-seed experiments (E2 convergence sweeps, E9 learning-speed grids,
 E13 basin sampling) are embarrassingly parallel: every trajectory is an
-independent ``(game, policy, scheduler, seed)`` cell. The
-:class:`BatchRunner` fans such cells out to worker processes (or
-threads, or runs them serially) and returns light-weight, picklable
-:class:`TrajectorySummary` records.
+independent ``(game, policy, scheduler, seed)`` cell. :func:`repro.run_many`
+is the public entry point; this module holds what it runs on — the
+:class:`PooledRunner` plumbing over :mod:`concurrent.futures`, the
+scalar :class:`BatchRunner` pool helper, the tensor-kernel job builder
+:func:`build_vector_jobs`, and the picklable :class:`TrajectorySummary` /
+:class:`CellStats` results.
 
 Determinism is scheduler-independent by construction: all per-run RNG
 streams are spawned *up front* from one root ``SeedSequence`` — the
@@ -33,6 +35,7 @@ from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.obs.log import get_logger
 from repro.obs.recorder import get_recorder
+from repro.util.rng import seed_sequence
 
 logger = get_logger("kernel.batch")
 
@@ -187,15 +190,19 @@ class TrajectorySummary:
         return game.configuration(self.final_coins)
 
 
+#: One run's outcome as the batch paths produce it:
+#: ``(steps, converged, final coin name per miner)``.
+RunRecord = Tuple[int, bool, Tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class CellStats:
     """Streamed aggregate of one batch cell: counts and final states only.
 
     The opt-in alternative to a list of per-run
-    :class:`TrajectorySummary` records (``RunSpec(stream=True)`` /
-    ``BatchRunner.run(stream=True)``): per-run step counts, the
-    converged tally and a final-state census, folded inside the worker,
-    so a grid cell ships one small picklable object across the pool
+    :class:`TrajectorySummary` records (``RunSpec(stream=True)``):
+    per-run step counts, the converged tally and a final-state census,
+    folded inside the worker, so a grid cell ships one small picklable object across the pool
     instead of ``runs`` records nobody reads individually. ``steps``
     stays per-run (in run-index order) so downstream statistics —
     mean/median/max, :func:`~repro.analysis.convergence.stats_from_steps`
@@ -222,17 +229,22 @@ class CellStats:
         return dict(self.finals)
 
     @classmethod
-    def from_summaries(cls, summaries: Sequence[TrajectorySummary]) -> "CellStats":
-        """Fold per-run summaries into the equivalent streamed aggregate."""
+    def fold(
+        cls,
+        records: Sequence[RunRecord],
+        policy_name: str,
+        scheduler_name: str,
+    ) -> "CellStats":
+        """Fold per-run ``(steps, converged, final_coins)`` records, in run order."""
         finals: Dict[Tuple[str, ...], int] = {}
-        for summary in summaries:
-            finals[summary.final_coins] = finals.get(summary.final_coins, 0) + 1
+        for _, _, final_coins in records:
+            finals[final_coins] = finals.get(final_coins, 0) + 1
         return cls(
-            runs=len(summaries),
-            policy_name=summaries[0].policy_name,
-            scheduler_name=summaries[0].scheduler_name,
-            steps=tuple(summary.steps for summary in summaries),
-            converged=sum(1 for summary in summaries if summary.converged),
+            runs=len(records),
+            policy_name=policy_name,
+            scheduler_name=scheduler_name,
+            steps=tuple(steps for steps, _, _ in records),
+            converged=sum(1 for _, converged, _ in records if converged),
             finals=tuple(sorted(finals.items())),
         )
 
@@ -259,6 +271,34 @@ class CellStats:
             converged=converged,
             finals=tuple(sorted(finals.items())),
         )
+
+
+def cell_result(
+    records: Sequence[RunRecord],
+    policy_name: str,
+    scheduler_name: str,
+    *,
+    stream: bool,
+    first_index: int = 0,
+) -> Any:
+    """A cell's result from its per-run records.
+
+    A :class:`CellStats` fold when *stream* is set, else one
+    :class:`TrajectorySummary` per record, numbered from *first_index*.
+    """
+    if stream:
+        return CellStats.fold(records, policy_name, scheduler_name)
+    return [
+        TrajectorySummary(
+            run_index=first_index + offset,
+            policy_name=policy_name,
+            scheduler_name=scheduler_name,
+            steps=steps,
+            converged=converged,
+            final_coins=final_coins,
+        )
+        for offset, (steps, converged, final_coins) in enumerate(records)
+    ]
 
 
 def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
@@ -298,12 +338,9 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
         backend=backend,
         **engine_kwargs,
     )
-    summaries: List[TrajectorySummary] = []
-    steps: List[int] = []
-    converged = 0
-    finals: Dict[Tuple[str, ...], int] = {}
+    records: List[RunRecord] = []
     assert engine.policy is not None and engine.scheduler is not None
-    for offset, (start_seed, run_seed) in enumerate(seed_pairs):
+    for start_seed, run_seed in seed_pairs:
         if allowed is None:
             start = random_configuration(game, seed=np.random.default_rng(start_seed))
         else:
@@ -314,34 +351,21 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
             game, start, seed=np.random.default_rng(run_seed), allowed=allowed
         )
         final = trajectory.final
-        final_coins = tuple(final.coin_of(miner).name for miner in game.miners)
-        if stream:
-            steps.append(trajectory.length)
-            converged += trajectory.converged
-            finals[final_coins] = finals.get(final_coins, 0) + 1
-        else:
-            summaries.append(
-                TrajectorySummary(
-                    run_index=first_index + offset,
-                    policy_name=engine.policy.name,
-                    scheduler_name=engine.scheduler.name,
-                    steps=trajectory.length,
-                    converged=trajectory.converged,
-                    final_coins=final_coins,
-                )
+        records.append(
+            (
+                trajectory.length,
+                trajectory.converged,
+                tuple(final.coin_of(miner).name for miner in game.miners),
             )
-    if stream:
-        return [
-            CellStats(
-                runs=len(seed_pairs),
-                policy_name=engine.policy.name,
-                scheduler_name=engine.scheduler.name,
-                steps=tuple(steps),
-                converged=converged,
-                finals=tuple(sorted(finals.items())),
-            )
-        ]
-    return summaries
+        )
+    result = cell_result(
+        records,
+        engine.policy.name,
+        engine.scheduler.name,
+        stream=stream,
+        first_index=first_index,
+    )
+    return [result] if stream else result
 
 
 def build_vector_jobs(
@@ -424,7 +448,7 @@ def build_vector_jobs(
 
 @dataclass
 class BatchRunner(PooledRunner):
-    """Run many independent learning trajectories, optionally in parallel.
+    """Pool helper behind :func:`repro.run_many` for scalar trajectory cells.
 
     Parameters
     ----------
@@ -432,29 +456,20 @@ class BatchRunner(PooledRunner):
         Numeric backend handed to every worker's engine (``"fast"``,
         ``"exact"`` or ``"class"``).
     executor:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"vectorized"``
-        (the tensor population kernel of :mod:`repro.kernel.tensor`;
-        standard policies/schedulers on the ``"fast"`` backend only) or
-        ``"auto"`` (processes for large batches on multi-core hosts,
-        serial otherwise). Results are identical across all modes.
+        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``
+        (processes for large batches on multi-core hosts, serial
+        otherwise). Results are identical across all modes.
     max_workers:
         Worker count for the pooled modes (default: ``os.cpu_count()``).
     max_steps:
         Per-trajectory step budget (default: the engine's own
         ``DEFAULT_MAX_STEPS``).
-
-    Pooled executors are created lazily on first use and reused across
-    :meth:`run` calls, so grid sweeps amortize process start-up; call
-    :meth:`close` (or use the runner as a context manager) to shut the
-    pool down eagerly.
     """
 
     backend: str = "fast"
     executor: str = "auto"
     max_workers: Optional[int] = None
     max_steps: Optional[int] = None
-
-    pool_modes = ("auto", "serial", "thread", "process", "vectorized")
 
     def __post_init__(self) -> None:
         self._init_pool()
@@ -463,8 +478,6 @@ class BatchRunner(PooledRunner):
                 f"backend must be 'fast', 'exact' or 'class', got {self.backend!r}"
             )
         self._validate_pool_args()
-
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -479,180 +492,40 @@ class BatchRunner(PooledRunner):
     ) -> Any:
         """*runs* trajectories from random starts, in run-index order.
 
-        Seeding matches :func:`repro.analysis.convergence.measure_convergence`:
-        stream ``2i`` draws run *i*'s start, stream ``2i+1`` drives its
-        engine, all spawned from ``SeedSequence(seed)`` (``seed`` may
-        also be an existing ``SeedSequence``, as :func:`repro.run_many`
-        hands out per-cell). ``allowed`` restricts miners to coin
-        subsets (a restricted game's mask); starts are then drawn
-        mask-valid, identically across every executor mode.
-
-        With ``stream=True`` the per-run summaries are folded inside
-        the workers and one :class:`CellStats` aggregate is returned
-        instead of a list — same step counts, same seeding, less
-        allocation and pool transport.
+        Stream ``2i`` draws run *i*'s start, stream ``2i+1`` drives its
+        engine, all spawned from ``seed_sequence(seed)``.
+        ``allowed`` restricts miners to coin subsets (a restricted
+        game's mask); starts are then drawn mask-valid, identically
+        across every executor mode. With ``stream=True`` the result is
+        one :class:`CellStats` aggregate instead of a summary list.
         """
         if runs < 1:
             raise ValueError(f"runs must be ≥ 1, got {runs}")
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = root.spawn(2 * runs)
+        streams = seed_sequence(seed).spawn(2 * runs)
         seed_pairs = [(streams[2 * i], streams[2 * i + 1]) for i in range(runs)]
-        return self._execute(game, policy, scheduler, seed_pairs, allowed=allowed, stream=stream)
 
-    def run_grid(
-        self,
-        game: Game,
-        *,
-        policies: Sequence,
-        schedulers: Sequence,
-        runs_per_pair: int,
-        seed: Optional[int] = None,
-    ) -> Dict[Tuple[str, str], List[TrajectorySummary]]:
-        """The seeds × schedulers × policies grid, one batch per pair.
-
-        Each (policy, scheduler) pair gets an independent child seed, so
-        adding or reordering pairs never changes another pair's runs.
-        """
-        pairs = [(policy, scheduler) for policy in policies for scheduler in schedulers]
-        children = np.random.SeedSequence(seed).spawn(len(pairs))
-        grid: Dict[Tuple[str, str], List[TrajectorySummary]] = {}
-        for (policy, scheduler), child in zip(pairs, children):
-            streams = child.spawn(2 * runs_per_pair)
-            seed_pairs = [
-                (streams[2 * i], streams[2 * i + 1]) for i in range(runs_per_pair)
-            ]
-            grid[(policy.name, scheduler.name)] = self._execute(
-                game, policy, scheduler, seed_pairs
-            )
-        return grid
-
-    # ------------------------------------------------------------------
-
-    def _execute(
-        self, game, policy, scheduler, seed_pairs, allowed=None, stream: bool = False
-    ) -> Any:
-        if self.executor == "vectorized":
-            return self._execute_vectorized(
-                game, policy, scheduler, seed_pairs, allowed, stream=stream
-            )
-
-        def make_chunks(chunk_size: int):
-            # One payload per worker: ship the game once per chunk.
-            return [
-                (
-                    game,
-                    policy,
-                    scheduler,
-                    self.backend,
-                    self.max_steps,
-                    allowed,
-                    start,
-                    seed_pairs[start : start + chunk_size],
-                    stream,
-                )
-                for start in range(0, len(seed_pairs), chunk_size)
-            ]
-
-        flat = self._execute_chunked(
-            _run_chunk,
-            (
+        def payload(first_index: int, pairs) -> Tuple[Any, ...]:
+            return (
                 game,
                 policy,
                 scheduler,
                 self.backend,
                 self.max_steps,
                 allowed,
-                0,
-                seed_pairs,
+                first_index,
+                pairs,
                 stream,
-            ),
-            make_chunks,
-            len(seed_pairs),
-        )
+            )
+
+        def make_chunks(chunk_size: int):
+            # One payload per worker: ship the game once per chunk.
+            return [
+                payload(start, seed_pairs[start : start + chunk_size])
+                for start in range(0, runs, chunk_size)
+            ]
+
+        flat = self._execute_chunked(_run_chunk, payload(0, seed_pairs), make_chunks, runs)
         if stream:
             # One partial CellStats per contiguous chunk, in chunk order.
             return CellStats.merge(flat)
         return flat
-
-    def _execute_vectorized(
-        self, game, policy, scheduler, seed_pairs, allowed=None, stream: bool = False
-    ) -> Any:
-        from repro.kernel.tensor import run_trajectory_population
-        from repro.learning.policies import RandomImprovingPolicy
-        from repro.learning.schedulers import UniformRandomScheduler
-
-        jobs, kernel = build_vector_jobs(
-            game,
-            policy=policy,
-            scheduler=scheduler,
-            seed_pairs=seed_pairs,
-            allowed=allowed,
-            max_steps=self.max_steps,
-            backend=self.backend,
-        )
-        outcomes = run_trajectory_population(jobs)
-        policy_name = (policy if policy is not None else RandomImprovingPolicy()).name
-        scheduler_name = (
-            scheduler if scheduler is not None else UniformRandomScheduler()
-        ).name
-        coin_names = kernel.coin_names
-        if stream:
-            return fold_outcomes(outcomes, coin_names, policy_name, scheduler_name)
-        return [
-            TrajectorySummary(
-                run_index=index,
-                policy_name=policy_name,
-                scheduler_name=scheduler_name,
-                steps=outcome.steps,
-                converged=outcome.converged,
-                final_coins=tuple(coin_names[j] for j in outcome.final_assign),
-            )
-            for index, outcome in enumerate(outcomes)
-        ]
-
-
-def fold_outcomes(
-    outcomes: Sequence[Any],
-    coin_names: Sequence[str],
-    policy_name: str,
-    scheduler_name: str,
-) -> CellStats:
-    """Fold tensor-kernel trajectory outcomes into a :class:`CellStats`."""
-    steps: List[int] = []
-    converged = 0
-    finals: Dict[Tuple[str, ...], int] = {}
-    for outcome in outcomes:
-        steps.append(outcome.steps)
-        converged += bool(outcome.converged)
-        key = tuple(coin_names[j] for j in outcome.final_assign)
-        finals[key] = finals.get(key, 0) + 1
-    return CellStats(
-        runs=len(steps),
-        policy_name=policy_name,
-        scheduler_name=scheduler_name,
-        steps=tuple(steps),
-        converged=converged,
-        finals=tuple(sorted(finals.items())),
-    )
-
-
-def run_trajectory_batch(
-    game: Game,
-    *,
-    runs: int,
-    policy=None,
-    scheduler=None,
-    seed: Optional[int] = None,
-    backend: str = "fast",
-    executor: str = "auto",
-    max_workers: Optional[int] = None,
-    max_steps: Optional[int] = None,
-) -> List[TrajectorySummary]:
-    """Functional one-shot form of :meth:`BatchRunner.run`."""
-    with BatchRunner(
-        backend=backend,
-        executor=executor,
-        max_workers=max_workers,
-        max_steps=max_steps,
-    ) as runner:
-        return runner.run(game, runs=runs, policy=policy, scheduler=scheduler, seed=seed)

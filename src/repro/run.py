@@ -1,24 +1,21 @@
-"""One front door for batched execution: ``RunSpec`` → :func:`run_many`.
+"""The batch API: ``RunSpec`` → :func:`run_many`.
 
 Every multi-seed workload in the library — E2 convergence sweeps, E9
 learning-speed grids, E13 basin sampling, E15 noisy-budget sweeps — is
 a list of independent *cells*: "run this game ``runs`` times with this
-strategy (or this noisy engine) from seeded random starts". Before this
-module each call site wired its own mechanism (a
-:class:`~repro.kernel.batch.BatchRunner` here, a
-:class:`~repro.stochastic.noisy_engine.NoisyBatchRunner` there, a
-``workers=`` integer elsewhere). :func:`run_many` subsumes that
-patchwork: callers describe the *semantics* as :class:`RunSpec` cells
-and pick an executor — or leave ``"auto"`` and let the library pick the
-fastest mechanism that preserves bit-identical results.
+strategy (or this noisy engine) from seeded random starts". Callers
+describe the *semantics* as :class:`RunSpec` cells and pick an executor
+— or leave ``"auto"`` and let the library pick the fastest mechanism
+that preserves bit-identical results. :func:`repro.sweep.run_sweep`
+layers caching and sharding on top.
 
 Executor modes
 --------------
 ``"serial"``
     One in-process loop; the reference semantics.
 ``"thread"`` / ``"process"``
-    :mod:`concurrent.futures` pools via the pooled runners. Identical
-    results (all per-run RNG streams are pre-spawned).
+    :mod:`concurrent.futures` pools (:mod:`repro.kernel.batch`).
+    Identical results (all per-run RNG streams are pre-spawned).
 ``"vectorized"``
     The tensor population kernel (:mod:`repro.kernel.tensor`). All
     vectorizable trajectory cells across the *whole* cell list are
@@ -28,11 +25,12 @@ Executor modes
     population stepper. Identical results.
 ``"auto"``
     Vectorizable trajectory cells go to the tensor kernel; everything
-    else falls back to the pooled runners' own ``"auto"``.
+    else runs serially, or on a process pool for large cells on
+    multi-core hosts.
 
 Seeding: each cell may carry an explicit ``seed``; cells that don't are
-assigned children of ``run_many``'s root ``SeedSequence(seed)`` in cell
-order, so appending cells never changes earlier cells' randomness.
+assigned children of ``run_many``'s root ``seed_sequence(seed)`` in
+cell order, so appending cells never changes earlier cells' randomness.
 Within a cell the per-run scheme is the library-wide convention (stream
 ``2i`` draws run *i*'s start, stream ``2i+1`` drives its engine).
 """
@@ -47,6 +45,7 @@ import numpy as np
 from repro.core.game import Game
 from repro.obs.log import get_logger
 from repro.obs.recorder import get_recorder
+from repro.util.rng import seed_sequence
 
 __all__ = ["RunSpec", "run_many", "EXECUTORS"]
 
@@ -136,11 +135,7 @@ class RunSpec:
                     )
 
     def _root(self, fallback: np.random.SeedSequence) -> np.random.SeedSequence:
-        if self.seed is None:
-            return fallback
-        if isinstance(self.seed, np.random.SeedSequence):
-            return self.seed
-        return np.random.SeedSequence(self.seed)
+        return fallback if self.seed is None else seed_sequence(self.seed)
 
 
 def _is_vectorizable(cell: RunSpec) -> bool:
@@ -174,8 +169,7 @@ def run_many(
         raise ValueError(f"executor must be {modes} or {EXECUTORS[-1]!r}, got {executor!r}")
     if not cells:
         return []
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    fallbacks = root.spawn(len(cells))
+    fallbacks = seed_sequence(seed).spawn(len(cells))
     roots = [cell._root(fallback) for cell, fallback in zip(cells, fallbacks)]
 
     recorder = get_recorder()
@@ -316,11 +310,9 @@ def _run_cells_vectorized(
     cells with the same game shape and strategy land in the same
     lockstep bucket — cross-cell batching no per-cell runner offers.
     Each job still carries its own pre-spawned generator, so the
-    summaries are bit-identical to the per-cell serial loops.
-    ``stream=True`` cells fold their slice of outcomes into a
-    :class:`~repro.kernel.batch.CellStats` instead of summary lists.
+    results are bit-identical to the per-cell serial loops.
     """
-    from repro.kernel.batch import TrajectorySummary, build_vector_jobs, fold_outcomes
+    from repro.kernel.batch import build_vector_jobs, cell_result
     from repro.kernel.tensor import run_trajectory_population
     from repro.learning.policies import RandomImprovingPolicy
     from repro.learning.schedulers import UniformRandomScheduler
@@ -353,29 +345,21 @@ def _run_cells_vectorized(
     outcomes = run_trajectory_population(all_jobs)
     results: List[Any] = []
     for cell, (start, stop), kernel in zip(cells, spans, kernels):
-        policy_name = (
-            cell.policy if cell.policy is not None else RandomImprovingPolicy()
-        ).name
-        scheduler_name = (
-            cell.scheduler if cell.scheduler is not None else UniformRandomScheduler()
-        ).name
         coin_names = kernel.coin_names
-        if cell.stream:
-            results.append(
-                fold_outcomes(outcomes[start:stop], coin_names, policy_name, scheduler_name)
+        records = [
+            (
+                outcome.steps,
+                outcome.converged,
+                tuple(coin_names[j] for j in outcome.final_assign),
             )
-            continue
+            for outcome in outcomes[start:stop]
+        ]
         results.append(
-            [
-                TrajectorySummary(
-                    run_index=index,
-                    policy_name=policy_name,
-                    scheduler_name=scheduler_name,
-                    steps=outcome.steps,
-                    converged=outcome.converged,
-                    final_coins=tuple(coin_names[j] for j in outcome.final_assign),
-                )
-                for index, outcome in enumerate(outcomes[start:stop])
-            ]
+            cell_result(
+                records,
+                (cell.policy if cell.policy is not None else RandomImprovingPolicy()).name,
+                (cell.scheduler if cell.scheduler is not None else UniformRandomScheduler()).name,
+                stream=cell.stream,
+            )
         )
     return results

@@ -12,7 +12,8 @@ asks which of the paper's predictions survive sampling noise:
     pluggable per-decision sample budgets.
 ``repro.stochastic.noisy_engine``
     Sample-based better-response learning (estimated improvements,
-    optional inertia/exploration) with a batch runner whose serial,
+    optional inertia/exploration). Batches run through
+    :func:`repro.run_many` (``RunSpec(kind="noisy")``), whose serial,
     threaded, multi-process and vectorized-lockstep
     (:func:`~repro.stochastic.noisy_engine.run_noisy_population`)
     results are identical.
@@ -52,10 +53,8 @@ from repro.stochastic.lottery import (
     sample_wins_state,
 )
 from repro.stochastic.noisy_engine import (
-    NoisyBatchRunner,
     NoisyLearningEngine,
     NoisyRunResult,
-    run_noisy_batch,
     run_noisy_population,
 )
 from repro.stochastic.risk import (
@@ -88,10 +87,8 @@ __all__ = [
     "sample_block_wins",
     "sample_win_count",
     "sample_wins_state",
-    "NoisyBatchRunner",
     "NoisyLearningEngine",
     "NoisyRunResult",
-    "run_noisy_batch",
     "run_noisy_population",
     "BudgetOutcome",
     "MinerRisk",

@@ -26,10 +26,11 @@ whether the theorem's prediction survives that noise:
   pure equilibrium is recorded afterwards through the exact kernel
   check, which is what the risk layer's misconvergence metrics count.
 
-:class:`NoisyBatchRunner` fans replications out over threads or
-processes with the same pre-spawned-stream scheme as
-:class:`repro.kernel.batch.BatchRunner`, so a fixed seed yields
-bit-identical results in serial, threaded and multi-process execution.
+Batches of replications go through :func:`repro.run_many` with
+``RunSpec(kind="noisy")`` cells; :class:`NoisyBatchRunner` is its pool
+helper, with the same pre-spawned-stream scheme as the trajectory
+cells, so a fixed seed yields bit-identical results in serial,
+threaded, multi-process and vectorized execution.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.kernel.engine import KernelView
 from repro.obs.recorder import get_recorder
 from repro.stochastic.estimator import SampleBudget, as_budget
 from repro.stochastic.lottery import sample_win_count
-from repro.util.rng import RngLike, make_rng
+from repro.util.rng import RngLike, make_rng, seed_sequence
 
 
 @dataclass(frozen=True)
@@ -368,11 +369,11 @@ def _run_noisy_chunk(payload: Tuple[Any, ...]) -> List[NoisyRunResult]:
 
 @dataclass
 class NoisyBatchRunner(PooledRunner):
-    """Run many independent noisy replications, optionally in parallel.
+    """Pool helper behind :func:`repro.run_many` for noisy cells.
 
     Seeding matches :class:`repro.kernel.batch.BatchRunner`: stream
     ``2i`` draws replication *i*'s start, stream ``2i+1`` drives its
-    engine, all spawned up front from one ``SeedSequence(seed)`` — so
+    engine, all spawned up front from one root seed — so
     the result list is identical whether the batch runs serially, on
     threads, or across processes. Pool management and the
     degrade-quietly fallback are the shared
@@ -401,8 +402,7 @@ class NoisyBatchRunner(PooledRunner):
     ) -> List[NoisyRunResult]:
         """*replications* noisy runs from random starts, in index order.
 
-        ``seed`` may be an int or an existing ``SeedSequence`` (as
-        :func:`repro.run_many` hands out per-cell).
+        ``seed`` is read through :func:`~repro.util.rng.seed_sequence`.
         ``executor="vectorized"`` runs the replications through the
         lockstep population stepper (:func:`run_noisy_population`) —
         noisy draws are RNG-bound so the win is modest, but the final
@@ -413,8 +413,7 @@ class NoisyBatchRunner(PooledRunner):
             raise ValueError(f"replications must be ≥ 1, got {replications}")
         if engine is None:
             engine = NoisyLearningEngine()
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = root.spawn(2 * replications)
+        streams = seed_sequence(seed).spawn(2 * replications)
         seed_pairs = [(streams[2 * i], streams[2 * i + 1]) for i in range(replications)]
 
         if self.executor == "vectorized":
@@ -429,17 +428,3 @@ class NoisyBatchRunner(PooledRunner):
         return self._execute_chunked(
             _run_noisy_chunk, (game, engine, 0, seed_pairs), make_chunks, replications
         )
-
-
-def run_noisy_batch(
-    game: Game,
-    *,
-    replications: int,
-    engine: Optional[NoisyLearningEngine] = None,
-    seed: Optional[int] = None,
-    executor: str = "auto",
-    max_workers: Optional[int] = None,
-) -> List[NoisyRunResult]:
-    """Functional one-shot form of :meth:`NoisyBatchRunner.run`."""
-    with NoisyBatchRunner(executor=executor, max_workers=max_workers) as runner:
-        return runner.run(game, replications=replications, engine=engine, seed=seed)

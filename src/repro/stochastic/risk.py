@@ -14,9 +14,8 @@ Three questions the expected-payoff model cannot answer:
 2. **Misconvergence** — does sample-based better response still reach
    a pure equilibrium, and how does the failure rate fall with the
    per-decision sample budget? :func:`misconvergence_profile` sweeps
-   budgets through :class:`~repro.stochastic.noisy_engine.NoisyBatchRunner`
-   replications and cross-checks every landing against the exact
-   equilibrium set from
+   budgets through :func:`repro.run_many` noisy cells and cross-checks
+   every landing against the exact equilibrium set from
    :class:`~repro.kernel.space.ConfigSpace` enumeration.
 3. **Time to equilibrium** — the distribution (not just the mean) of
    activations noisy runs need before settling.
@@ -25,7 +24,6 @@ Three questions the expected-payoff model cannot answer:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -37,13 +35,11 @@ from repro.core.equilibrium import enumerate_equilibria
 from repro.core.game import Game
 from repro.core.miner import Miner
 from repro.kernel.core import KernelGame
+from repro.run import RunSpec, run_many
 from repro.stochastic.estimator import SampleBudget
 from repro.stochastic.lottery import realized_rewards, sample_block_wins
-from repro.stochastic.noisy_engine import (
-    NoisyBatchRunner,
-    NoisyLearningEngine,
-    NoisyRunResult,
-)
+from repro.stochastic.noisy_engine import NoisyLearningEngine, NoisyRunResult
+from repro.util.rng import RngLike, seed_sequence
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +121,7 @@ def reward_risk(
     horizon_rounds: int,
     replications: int = 30,
     ruin_fraction: float = 0.5,
-    seed: Optional[int] = None,
+    seed: RngLike = None,
 ) -> RiskProfile:
     """Measure realized-reward risk at *config* over a finite horizon.
 
@@ -141,7 +137,7 @@ def reward_risk(
     if not 0.0 < ruin_fraction < 1.0:
         raise ValueError(f"ruin_fraction must be in (0, 1), got {ruin_fraction}")
     kernel = KernelGame(game)
-    streams = np.random.SeedSequence(seed).spawn(replications)
+    streams = seed_sequence(seed).spawn(replications)
     totals: List[Dict[Miner, Fraction]] = []
     for stream in streams:
         sample = sample_block_wins(
@@ -222,10 +218,9 @@ def misconvergence_profile(
     patience: Optional[int] = None,
     inertia: float = 0.0,
     exploration: float = 0.0,
-    seed: Optional[int] = None,
+    seed: RngLike = None,
     executor: str = "auto",
     max_workers: Optional[int] = None,
-    runner: Optional[NoisyBatchRunner] = None,
 ) -> MisconvergenceReport:
     """Sweep per-decision sample budgets and measure misconvergence.
 
@@ -236,15 +231,12 @@ def misconvergence_profile(
     equilibrium set: the per-run kernel verdict and set membership must
     agree — a mismatch raises, because it would mean the sampler and
     the enumeration engine disagree about the same game.
-
-    .. deprecated:: 1.2
-        ``runner=`` — pass ``executor=`` / ``max_workers=`` instead.
     """
     if not budgets:
         raise ValueError("need at least one sample budget")
     equilibria = tuple(enumerate_equilibria(game))
     equilibrium_set = frozenset(equilibria)
-    children = np.random.SeedSequence(seed).spawn(len(budgets))
+    children = seed_sequence(seed).spawn(len(budgets))
     engines = [
         NoisyLearningEngine(
             budget=budget,
@@ -255,40 +247,21 @@ def misconvergence_profile(
         )
         for budget in budgets
     ]
-    if runner is not None:
-        warnings.warn(
-            "runner= is deprecated; pass executor= (and max_workers=) instead — "
-            "execution now routes through repro.run_many",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        per_budget = [
-            runner.run(
-                game,
-                replications=replications,
+    per_budget = run_many(
+        [
+            RunSpec(
+                game=game,
+                runs=replications,
+                kind="noisy",
                 engine=engine,
                 seed=int(child.generate_state(1)[0]),
+                label=_budget_label(budget),
             )
-            for engine, child in zip(engines, children)
-        ]
-    else:
-        from repro.run import RunSpec, run_many
-
-        per_budget = run_many(
-            [
-                RunSpec(
-                    game=game,
-                    runs=replications,
-                    kind="noisy",
-                    engine=engine,
-                    seed=int(child.generate_state(1)[0]),
-                    label=_budget_label(budget),
-                )
-                for budget, engine, child in zip(budgets, engines, children)
-            ],
-            executor=executor,
-            max_workers=max_workers,
-        )
+            for budget, engine, child in zip(budgets, engines, children)
+        ],
+        executor=executor,
+        max_workers=max_workers,
+    )
     outcomes = [
         _summarize_budget(game, _budget_label(budget), results, equilibrium_set)
         for budget, results in zip(budgets, per_budget)

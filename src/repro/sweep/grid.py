@@ -29,7 +29,7 @@ than positional:
   fingerprint modulo the shard count, so every host of a ``--shard
   K/N`` fleet agrees on the partition without coordination;
 * **content-addressed caching** — :meth:`SweepCell.cache_key` hashes
-  (fingerprint, resolved seed, library version) into the key the
+  (fingerprint, resolved seed, library and numpy versions) into the key the
   :class:`~repro.sweep.cache.ResultCache` stores results under, so any
   overlapping grid re-uses completed cells.
 """
@@ -245,9 +245,11 @@ class SweepCell:
         """Content address of this cell's results under *root*.
 
         SHA-256 over (fingerprint, resolved seed descriptor, library
-        version) — the full provenance of the result bytes, so a cache
-        can never serve results produced by different code, different
-        randomness, or a different cell.
+        version, numpy version) — the full provenance of the result
+        bytes, so a cache can never serve results produced by different
+        code, different randomness, or a different cell. numpy is in
+        the key because ``Generator`` streams are not guaranteed stable
+        across numpy releases.
         """
         if version is None:
             from repro import __version__ as version
@@ -256,6 +258,7 @@ class SweepCell:
                 "cell": self.fingerprint,
                 "seed": seed_descriptor(self.resolve_seed(root)),
                 "repro": version,
+                "numpy": np.__version__,
             },
             sort_keys=True,
             separators=(",", ":"),

@@ -41,14 +41,13 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.obs.log import get_logger
 from repro.obs.recorder import get_recorder
 from repro.run import run_many
 from repro.sweep.cache import ResultCache
 from repro.sweep.grid import SweepCell, SweepGrid, parse_shard, seed_descriptor
 from repro.sweep.report import build_report, cell_entry
+from repro.util.rng import seed_sequence
 
 __all__ = ["SweepError", "SweepResult", "merge_sweep", "run_sweep"]
 
@@ -87,12 +86,6 @@ class SweepResult:
     def in_order(self) -> List[Any]:
         """Results of this call's cells, in grid order."""
         return [self.results[cell_id] for cell_id in self._order]
-
-
-def _root_sequence(seed: Any) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _write_grid_receipt(
@@ -203,7 +196,7 @@ def run_sweep(
     shard_kn = parse_shard(shard)
     if shard_kn is not None and out is None:
         raise SweepError("shard= requires out=: shards meet in the cache directory")
-    root = _root_sequence(seed)
+    root = seed_sequence(seed)
     root_desc = seed_descriptor(root)
     from repro import __version__
 

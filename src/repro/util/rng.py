@@ -56,6 +56,18 @@ def normalize_seed(
     )
 
 
+def seed_sequence(seed: Union[RngLike, np.random.SeedSequence]) -> np.random.SeedSequence:
+    """The root ``SeedSequence`` of *seed*, read through :func:`normalize_seed`.
+
+    Integer seeds keep their streams (``SeedSequence(int(seed))``); an
+    existing ``SeedSequence`` passes through; ``None`` is fresh entropy.
+    """
+    root = normalize_seed(seed)
+    if isinstance(root, np.random.SeedSequence):
+        return root
+    return np.random.SeedSequence(root)
+
+
 def spawn_rngs(
     seed: Union[RngLike, np.random.SeedSequence], count: int
 ) -> Sequence[np.random.Generator]:
@@ -63,11 +75,8 @@ def spawn_rngs(
 
     Used by parameter sweeps so each cell of the sweep gets its own
     stream and reordering cells does not change any cell's randomness.
-    *seed* is read through :func:`normalize_seed`.
+    *seed* is read through :func:`seed_sequence`.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    root = normalize_seed(seed)
-    if not isinstance(root, np.random.SeedSequence):
-        root = np.random.SeedSequence(root)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
+    return [np.random.default_rng(child) for child in seed_sequence(seed).spawn(count)]

@@ -172,27 +172,21 @@ SEED_TYPES = {
 @pytest.mark.parametrize("seed_type", sorted(SEED_TYPES))
 def test_seeded_entry_points_honour_every_seed_type(seed_type):
     """Equal seeds of any type give equal results; none is swapped for entropy."""
-    import warnings
-
     from repro.analysis.basins import basin_profile
     from repro.analysis.classes import class_basin_profile, measure_class_convergence
     from repro.core.factories import random_configuration, random_game
-    from repro.kernel.batch import BatchRunner
     from repro.manipulation.better_equilibrium import find_better_equilibrium_sampled
+    from repro.stochastic.risk import misconvergence_profile
 
     game = random_game(5, 2, seed=1)
     current = random_configuration(game, seed=2)
 
-    def runner_basins(seed):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with BatchRunner(executor="serial") as runner:
-                return basin_profile(game, samples=10, seed=seed, runner=runner).counts
-
     calls = {
         "measure_convergence": lambda seed: measure_convergence(game, runs=10, seed=seed),
         "basin_profile": lambda seed: basin_profile(game, samples=10, seed=seed).counts,
-        "basin_profile(runner=)": runner_basins,
+        "misconvergence_profile": lambda seed: misconvergence_profile(
+            game, budgets=(4,), replications=3, max_activations=300, seed=seed
+        ),
         "measure_class_convergence": lambda seed: measure_class_convergence(
             game, runs=10, seed=seed
         ),

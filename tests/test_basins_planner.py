@@ -60,28 +60,19 @@ class TestBasinProfile:
         assert empty.probability_of(some_config) == 0.0
 
     def test_runner_counts_match_serial(self):
-        # The BatchRunner path shares the serial loop's seeding scheme,
-        # so the pooled profile must be identical for the same seed.
+        # The process pool shares the serial loop's seeding scheme, so
+        # the pooled profile must be identical for the same seed.
         import warnings
 
-        from repro.kernel.batch import BatchRunner
-
         game, _ = _multi_equilibrium_game()
-        serial = basin_profile(game, samples=20, seed=5)
+        serial = basin_profile(game, samples=20, seed=5, executor="serial")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with BatchRunner(executor="process", max_workers=2) as runner:
-                pooled = basin_profile(game, samples=20, seed=5, runner=runner)
+            pooled = basin_profile(
+                game, samples=20, seed=5, executor="process", max_workers=2
+            )
         assert pooled.counts == serial.counts
         assert pooled.samples == serial.samples
-
-    def test_runner_backend_mismatch_rejected(self):
-        from repro.kernel.batch import BatchRunner
-
-        game, _ = _multi_equilibrium_game()
-        with BatchRunner(backend="exact", executor="serial") as runner:
-            with pytest.raises(ValueError, match="backend"):
-                basin_profile(game, samples=5, backend="fast", runner=runner)
 
     def test_landing_points_are_equilibria(self):
         game, _ = _multi_equilibrium_game()

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.convergence import measure_convergence
 from repro.core.configuration import Configuration
 from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
@@ -189,37 +188,6 @@ def test_simultaneous_parity():
             assert exact.converged == fast.converged
             assert exact.cycle_start == fast.cycle_start
             assert exact.configurations == fast.configurations
-
-
-def test_batch_runner_matches_serial_measurement():
-    """BatchRunner summaries reproduce the serial loop's statistics."""
-    game = random_game(10, 3, seed=77)
-    serial = measure_convergence(game, runs=12, seed=123, backend="fast")
-    for executor in ("serial", "thread"):
-        runner = BatchRunner(backend="fast", executor=executor, max_workers=2)
-        batched = measure_convergence(game, runs=12, seed=123, runner=runner)
-        assert batched == serial
-
-
-def test_batch_runner_grid_is_deterministic():
-    """Grid batches are keyed by names and reproducible seed-for-seed."""
-    game = random_game(8, 3, seed=88)
-    policies = (BestResponsePolicy(), RandomImprovingPolicy())
-    schedulers = (UniformRandomScheduler(),)
-    runner = BatchRunner(executor="serial")
-    first = runner.run_grid(game, policies=policies, schedulers=schedulers, runs_per_pair=4, seed=5)
-    second = runner.run_grid(game, policies=policies, schedulers=schedulers, runs_per_pair=4, seed=5)
-    assert first == second
-    assert set(first) == {
-        ("best-response", "uniform"),
-        ("random-improving", "uniform"),
-    }
-    for summaries in first.values():
-        assert len(summaries) == 4
-        assert all(summary.converged for summary in summaries)
-        for summary in summaries:
-            final = summary.final_configuration(game)
-            assert game.is_stable(final)
 
 
 @st.composite

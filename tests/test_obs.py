@@ -30,8 +30,6 @@ import repro
 from repro import Game, LearningEngine, RunSpec, run_many
 from repro.cli import main as cli_main
 from repro.core.factories import random_configuration, random_game
-from repro.experiments import e02_convergence
-from repro.experiments.common import resolve_batch_runner, resolve_execution
 from repro.kernel.core import KernelGame
 from repro.kernel.space import ConfigSpace
 from repro.kernel.tensor import kernel_lane
@@ -470,31 +468,8 @@ class TestLogging:
 
 
 # ----------------------------------------------------------------------
-# Satellites: deprecation stacklevels + bench tooling
+# Bench tooling
 # ----------------------------------------------------------------------
-
-
-class TestDeprecationStacklevel:
-    def test_resolve_execution_warning_points_at_direct_caller(self):
-        with pytest.warns(DeprecationWarning, match="workers= is deprecated") as record:
-            resolve_execution(workers=2)
-        assert record[0].filename == __file__
-
-    def test_resolve_batch_runner_warning_points_at_direct_caller(self):
-        with pytest.warns(DeprecationWarning, match="resolve_batch_runner") as record:
-            runner = resolve_batch_runner(workers=1)
-        runner.close()
-        assert record[0].filename == __file__
-
-    def test_experiment_workers_warning_points_at_experiment_caller(self):
-        with pytest.warns(DeprecationWarning, match="workers= is deprecated") as record:
-            e02_convergence.run(
-                miner_counts=(5,), coin_counts=(2,), runs_per_cell=1, workers=1
-            )
-        deprecations = [
-            w for w in record if issubclass(w.category, DeprecationWarning)
-        ]
-        assert any(w.filename == __file__ for w in deprecations)
 
 
 class TestBenchTooling:
@@ -522,13 +497,21 @@ class TestBenchTooling:
             tmp_path, "old.json", 0.010,
             {"repro_version": "1.2.0", "python": "3.12.0", "numpy": "2.0.0"},
         )
+        # Library versions differ on every feature change: still comparable.
+        bumped = self._bench_json(
+            tmp_path, "bumped.json", 0.009,
+            {"repro_version": "1.3.0", "python": "3.12.0", "numpy": "2.0.0"},
+        )
+        accepted = self._run("compare.py", old, bumped)
+        assert accepted.returncode == 0
+        assert "bench_engine" in accepted.stdout
         new = self._bench_json(
             tmp_path, "new.json", 0.009,
-            {"repro_version": "1.3.0", "python": "3.12.0", "numpy": "2.0.0"},
+            {"repro_version": "1.3.0", "python": "3.12.0", "numpy": "2.1.0"},
         )
         refused = self._run("compare.py", old, new)
         assert refused.returncode == 2
-        assert "repro_version differs" in refused.stderr
+        assert "numpy differs" in refused.stderr
         forced = self._run("compare.py", old, new, "--force")
         assert forced.returncode == 0
         assert "bench_engine" in forced.stdout
@@ -562,6 +545,14 @@ class TestBenchTooling:
         )
         assert skipped.returncode == 0
         assert "skipping" in skipped.stdout
+
+        # A library-version bump alone still gets guarded.
+        bumped = self._bench_json(
+            tmp_path, "bumped.json", 0.011, {**stamp, "repro_version": "1.4.0"}
+        )
+        guarded = self._run("overhead_guard.py", base, bumped, "--tolerance", "0.03")
+        assert guarded.returncode == 1
+        assert "REGRESSION" in guarded.stdout
 
 
 class TestClobberGuards:

@@ -1,14 +1,13 @@
-"""The :func:`repro.run_many` front door: equivalence, seeding, shims.
+"""The :func:`repro.run_many` front door: equivalence, seeding, fallback.
 
 Three families of guarantees:
 
 * **Executor equivalence** — the same cell list returns bit-identical
   results under every executor mode (the whole point of the redesign).
-* **Seeding** — explicit ``RunSpec.seed`` reproduces the old per-layer
-  runners exactly, and derived seeds are append-stable.
-* **Deprecation shims** — ``runner=`` / ``workers=`` keep working but
-  warn, and a broken worker pool degrades quietly to serial with the
-  original error surfaced in the warning.
+* **Seeding** — explicit ``RunSpec.seed`` reproduces the pool helpers
+  exactly, and derived seeds are append-stable.
+* **Pool fallback** — a broken worker pool degrades quietly to serial
+  with the original error surfaced in the warning.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro import EXECUTORS, RunSpec, run_many
-from repro.analysis.basins import basin_profile
-from repro.analysis.convergence import measure_convergence
 from repro.core.factories import random_game
-from repro.experiments.common import resolve_batch_runner, resolve_execution
 from repro.kernel.batch import BatchRunner, PooledRunner
 from repro.learning.policies import BestResponsePolicy, MinimalGainPolicy
 from repro.learning.schedulers import RoundRobinScheduler
@@ -90,38 +86,6 @@ def test_executor_validation():
         run_many([], executor="bogus")
     assert run_many([], executor="auto") == []
     assert set(EXECUTORS) == {"auto", "serial", "thread", "process", "vectorized"}
-
-
-def test_measure_convergence_runner_deprecated():
-    game = random_game(5, 2, seed=7)
-    fresh = measure_convergence(game, runs=6, seed=3)
-    with BatchRunner() as runner:
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            legacy = measure_convergence(game, runs=6, seed=3, runner=runner)
-    assert legacy == fresh
-
-
-def test_basin_profile_runner_deprecated():
-    game = random_game(5, 2, seed=8)
-    fresh = basin_profile(game, samples=10, seed=5)
-    with BatchRunner() as runner:
-        with pytest.warns(DeprecationWarning, match="runner= is deprecated"):
-            legacy = basin_profile(game, samples=10, seed=5, runner=runner)
-    assert legacy.counts == fresh.counts
-
-
-def test_workers_knob_deprecated():
-    with pytest.warns(DeprecationWarning, match="workers= is deprecated"):
-        assert resolve_execution(executor="auto", workers=2) == ("process", 2)
-    with pytest.warns(DeprecationWarning, match="workers= is deprecated"):
-        assert resolve_execution(executor="vectorized", workers=2) == ("vectorized", 2)
-    assert resolve_execution(executor="auto", workers=0) == ("auto", None)
-    with pytest.raises(ValueError):
-        resolve_execution(workers=-1)
-    with pytest.warns(DeprecationWarning, match="resolve_batch_runner is deprecated"):
-        runner = resolve_batch_runner(workers=1)
-    runner.close()
-    assert resolve_batch_runner(workers=0) is None
 
 
 def test_broken_pool_degrades_quietly_and_names_the_error(monkeypatch):

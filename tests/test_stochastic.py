@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro import RunSpec, run_many
 from repro.core.equilibrium import enumerate_equilibria
 from repro.core.factories import random_configuration, random_game
 from repro.stochastic import (
@@ -32,7 +33,6 @@ from repro.stochastic import (
     reconcile,
     reward_risk,
     ruin_bound,
-    run_noisy_batch,
     sample_block_wins,
     sample_win_count,
     specs_from_game,
@@ -232,22 +232,19 @@ class TestNoisyBatchParity:
                 # Sandboxes without process pools degrade to serial —
                 # which the contract says is identical anyway.
                 warnings.simplefilter("ignore", RuntimeWarning)
-                outcomes[executor] = run_noisy_batch(
-                    game,
-                    replications=8,
-                    engine=engine,
-                    seed=99,
+                outcomes[executor] = run_many(
+                    [RunSpec(game=game, runs=8, kind="noisy", engine=engine, seed=99)],
                     executor=executor,
                     max_workers=4,
-                )
+                )[0]
         assert outcomes["serial"] == outcomes["thread"]
         assert outcomes["serial"] == outcomes["process"]
         assert [result.run_index for result in outcomes["serial"]] == list(range(8))
 
     def test_replications_validated(self):
         game = random_game(3, 2, seed=40)
-        with pytest.raises(ValueError, match="replications"):
-            run_noisy_batch(game, replications=0, executor="serial")
+        with pytest.raises(ValueError, match="runs"):
+            run_many([RunSpec(game=game, runs=0, kind="noisy")], executor="serial")
 
 
 class TestRisk:
@@ -292,13 +289,18 @@ class TestRisk:
 
     def test_time_to_equilibrium_summary(self):
         game = random_game(4, 2, seed=57)
-        results = run_noisy_batch(
-            game,
-            replications=10,
-            engine=NoisyLearningEngine(budget=2_048, max_activations=1_500),
-            seed=58,
+        results = run_many(
+            [
+                RunSpec(
+                    game=game,
+                    runs=10,
+                    kind="noisy",
+                    engine=NoisyLearningEngine(budget=2_048, max_activations=1_500),
+                    seed=58,
+                )
+            ],
             executor="serial",
-        )
+        )[0]
         stats = time_to_equilibrium(results)
         assert stats["converged_fraction"] > 0.5
         assert stats["mean"] <= stats["max"]
