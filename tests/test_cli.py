@@ -62,6 +62,14 @@ class TestRun:
         with pytest.raises(SystemExit):
             _run(["run", "E99"])
 
+    @pytest.mark.parametrize("command", [["run", "E2", "--fast"], ["sweep", "E2"], ["demo"]])
+    def test_workers_flag_removed(self, command, capsys):
+        # Parallelism is chosen with --executor alone.
+        with pytest.raises(SystemExit) as exit_info:
+            _run([*command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_demo_reports_equilibrium(self):

@@ -10,6 +10,7 @@ hypothesis property for the structural queries.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import measure_convergence
 from repro.core.configuration import Configuration
 from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
@@ -39,6 +41,7 @@ from repro.learning.schedulers import (
     UniformRandomScheduler,
 )
 from repro.learning.simultaneous import run_simultaneous
+from repro.sweep import SweepGrid, run_sweep
 
 POLICIES = (
     BestResponsePolicy(),
@@ -188,6 +191,45 @@ def test_simultaneous_parity():
             assert exact.converged == fast.converged
             assert exact.cycle_start == fast.cycle_start
             assert exact.configurations == fast.configurations
+
+
+def test_batch_runner_matches_serial_measurement():
+    """Pooled and vectorized measurements reproduce the serial loop's statistics."""
+    game = random_game(10, 3, seed=77)
+    serial = measure_convergence(game, runs=12, seed=123, backend="fast", executor="serial")
+    for executor in ("thread", "process", "vectorized"):
+        with warnings.catch_warnings():
+            # Hosts without process pools degrade to serial.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batched = measure_convergence(
+                game, runs=12, seed=123, backend="fast", executor=executor, max_workers=2
+            )
+        assert batched == serial
+
+
+def test_batch_runner_grid_is_deterministic():
+    """Policy × scheduler grids are reproducible seed-for-seed."""
+    game = random_game(8, 3, seed=88)
+    grid = SweepGrid(
+        {
+            "policy": [BestResponsePolicy(), RandomImprovingPolicy()],
+            "scheduler": [UniformRandomScheduler()],
+        },
+        base={"game": game, "runs": 4},
+    )
+    first = run_sweep(grid, seed=5, executor="serial").results
+    second = run_sweep(grid, seed=5, executor="thread", max_workers=2).results
+    assert first == second
+    assert set(first) == {
+        "policy=best-response/scheduler=uniform",
+        "policy=random-improving/scheduler=uniform",
+    }
+    for summaries in first.values():
+        assert len(summaries) == 4
+        assert all(summary.converged for summary in summaries)
+        for summary in summaries:
+            final = summary.final_configuration(game)
+            assert game.is_stable(final)
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """The :func:`repro.run_many` front door: equivalence, seeding, fallback.
 
-Three families of guarantees:
+Four families of guarantees:
 
 * **Executor equivalence** — the same cell list returns bit-identical
   results under every executor mode (the whole point of the redesign).
+* **One fold** — a ``stream=True`` cell is exactly
+  :meth:`~repro.kernel.batch.CellStats.fold` of its summary list, and
+  ``run_many`` is the only public batch entry point.
 * **Seeding** — explicit ``RunSpec.seed`` reproduces the pool helpers
   exactly, and derived seeds are append-stable.
 * **Pool fallback** — a broken worker pool degrades quietly to serial
@@ -12,11 +15,14 @@ Three families of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import pytest
 
 from repro import EXECUTORS, RunSpec, run_many
 from repro.core.factories import random_game
-from repro.kernel.batch import BatchRunner, PooledRunner
+from repro.kernel.batch import BatchRunner, CellStats, PooledRunner
 from repro.learning.policies import BestResponsePolicy, MinimalGainPolicy
 from repro.learning.schedulers import RoundRobinScheduler
 from repro.stochastic.noisy_engine import NoisyBatchRunner, NoisyLearningEngine
@@ -57,6 +63,76 @@ def test_matches_direct_runner_calls():
             cells[3].game, replications=cells[3].runs,
             engine=cells[3].engine, seed=cells[3].seed,
         )
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process", "vectorized"])
+def test_streamed_cells_fold_their_summaries(executor):
+    """``stream=True`` is the one CellStats fold of the summary list, on every path."""
+    cells = [cell for cell in _cells() if cell.kind == "trajectory"]
+    summaries = run_many(cells, executor="serial")
+    with warnings.catch_warnings():
+        # Hosts without process pools degrade to serial.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        streamed = run_many(
+            [dataclasses.replace(cell, stream=True) for cell in cells],
+            executor=executor,
+            max_workers=2,
+        )
+    for records, stats in zip(summaries, streamed):
+        assert stats == CellStats.fold(
+            [(s.steps, s.converged, s.final_coins) for s in records],
+            records[0].policy_name,
+            records[0].scheduler_name,
+        )
+        assert stats.runs == len(records)
+
+
+def test_cellstats_merge_of_chunk_folds_is_the_whole_fold():
+    records = [
+        (3, True, ("a", "b")),
+        (0, True, ("b", "b")),
+        (7, False, ("a", "b")),
+        (2, True, ("a", "a")),
+        (5, True, ("b", "b")),
+    ]
+    whole = CellStats.fold(records, "p", "s")
+    for cut in range(1, len(records)):
+        parts = [CellStats.fold(records[:cut], "p", "s"), CellStats.fold(records[cut:], "p", "s")]
+        assert CellStats.merge(parts) == whole
+    assert whole.steps == (3, 0, 7, 2, 5)
+    assert whole.converged == 4
+    assert whole.final_counts() == {("a", "a"): 1, ("a", "b"): 2, ("b", "b"): 2}
+    assert whole.mean_steps == pytest.approx(17 / 5)
+
+
+def test_trajectory_pool_helper_has_no_vectorized_mode():
+    """Vectorized trajectory cells run only through run_many's tensor path."""
+    assert "vectorized" not in BatchRunner.pool_modes
+    with pytest.raises(ValueError, match="executor"):
+        BatchRunner(executor="vectorized")
+
+
+def test_run_many_is_the_only_batch_entry_point():
+    import repro
+    import repro.kernel
+    import repro.stochastic
+    from repro.analysis.basins import basin_profile
+    from repro.analysis.convergence import measure_convergence
+    from repro.experiments import e02_convergence
+
+    for module in (repro, repro.kernel, repro.stochastic):
+        assert not hasattr(module, "run_trajectory_batch")
+        assert not hasattr(module, "run_noisy_batch")
+        assert "BatchRunner" not in module.__all__
+        assert "NoisyBatchRunner" not in module.__all__
+    game = random_game(4, 2, seed=0)
+    with BatchRunner() as runner:
+        with pytest.raises(TypeError):
+            measure_convergence(game, runs=2, seed=1, runner=runner)
+        with pytest.raises(TypeError):
+            basin_profile(game, samples=2, seed=1, runner=runner)
+    with pytest.raises(TypeError):
+        e02_convergence.run(miner_counts=(5,), coin_counts=(2,), runs_per_cell=1, workers=1)
 
 
 def test_derived_seeds_are_append_stable():

@@ -287,6 +287,28 @@ class TestRisk:
         long = ruin_bound(game, config, miner, horizon_rounds=10_000)
         assert long <= short
 
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 54,
+            lambda: np.int64(54),
+            lambda: np.random.SeedSequence(54),
+            lambda: np.random.default_rng(54),
+        ],
+        ids=["int", "np.integer", "SeedSequence", "Generator"],
+    )
+    def test_reward_risk_honours_every_seed_type(self, make_seed):
+        game = random_game(4, 2, seed=52)
+        config = random_configuration(game, seed=53)
+
+        def profile(seed):
+            return reward_risk(game, config, horizon_rounds=50, replications=4, seed=seed)
+
+        assert profile(make_seed()) == profile(make_seed())
+        if not isinstance(make_seed(), np.random.Generator):
+            # Integer seeds and their SeedSequence draw the same streams.
+            assert profile(make_seed()) == profile(54)
+
     def test_time_to_equilibrium_summary(self):
         game = random_game(4, 2, seed=57)
         results = run_many(

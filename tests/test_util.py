@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import make_rng, normalize_seed, spawn_rngs
+from repro.util.rng import make_rng, normalize_seed, seed_sequence, spawn_rngs
 from repro.util.tables import Table, format_table
 from repro.util.validation import require, require_type
 
@@ -76,6 +76,28 @@ class TestRng:
         assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
         shared = np.random.default_rng(5)
         assert normalize_seed(shared).spawn_key != normalize_seed(shared).spawn_key
+
+    def test_seed_sequence_keeps_integer_streams(self):
+        for seed in (5, np.int64(5)):
+            root = seed_sequence(seed)
+            assert root.entropy == 5 and type(root.entropy) is int
+            assert root.generate_state(4).tolist() == (
+                np.random.SeedSequence(5).generate_state(4).tolist()
+            )
+        sequence = np.random.SeedSequence(5)
+        assert seed_sequence(sequence) is sequence
+
+    def test_seed_sequence_spawns_from_generators(self):
+        a = seed_sequence(np.random.default_rng(5))
+        b = seed_sequence(np.random.default_rng(5))
+        assert a.entropy == b.entropy and a.spawn_key == b.spawn_key
+        shared = np.random.default_rng(5)
+        assert seed_sequence(shared).spawn_key != seed_sequence(shared).spawn_key
+
+    def test_seed_sequence_none_is_fresh_and_bad_type_rejected(self):
+        assert seed_sequence(None).entropy != seed_sequence(None).entropy
+        with pytest.raises(TypeError):
+            seed_sequence("seed")
 
     @pytest.mark.parametrize(
         "make_seed",
