@@ -9,8 +9,8 @@ Three workload cells, each run on both backends so
   and scheduler subclass. Before the refactor custom subclasses were
   exiled to the exact Fraction loop; now they ride the integer kernel,
   which is the refactor's headline speedup;
-* ``restricted`` — a hardware-restricted (asymmetric) game, which
-  gained the integer kernel's mask-aware fast path.
+* ``restricted`` — a hardware-restricted (asymmetric) game, run by
+  ``LearningEngine`` on the integer kernel's mask-aware fast path.
 
 Each fast cell asserts bit-identical final states against its exact
 twin, so the bench doubles as a parity check at benchmark scale.
@@ -25,7 +25,6 @@ from repro.core.factories import random_configuration, random_game
 from repro.core.restricted import RestrictedGame
 from repro.learning.engine import LearningEngine
 from repro.learning.examples import PowerWeightedScheduler, SecondBestPolicy
-from repro.learning.restricted_engine import RestrictedLearningEngine
 
 MINERS = 20
 COINS = 4
@@ -37,7 +36,7 @@ def _trajectories(backend, policy=None, scheduler=None):
     engine = LearningEngine(
         policy=policy,
         scheduler=scheduler,
-        record_configurations=False,
+        record="steps",
         backend=backend,
     )
     finals = []
@@ -55,7 +54,7 @@ def _restricted_trajectories(backend):
         picks = [coin for coin in game.coins if rng.random() < 0.7]
         allowed[miner] = picks or [game.coins[int(rng.integers(0, len(game.coins)))]]
     restricted = RestrictedGame(game, allowed)
-    engine = RestrictedLearningEngine(mode="random", backend=backend)
+    engine = LearningEngine(record="steps", backend=backend)
     finals = []
     for run in range(RUNS):
         start = Configuration(

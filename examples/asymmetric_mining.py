@@ -14,7 +14,7 @@ Run: ``python examples/asymmetric_mining.py``
 
 from repro.core import RestrictedGame, random_game
 from repro.core.configuration import Configuration
-from repro.learning import RestrictedLearningEngine
+from repro.learning import LearningEngine
 
 
 def main() -> None:
@@ -35,8 +35,7 @@ def main() -> None:
         game.miners,
         {miner: restricted.allowed_coins(miner)[0] for miner in game.miners},
     )
-    engine = RestrictedLearningEngine(mode="random")
-    trajectory = engine.run(restricted, start, seed=1)
+    trajectory = LearningEngine().run(restricted, start, seed=1)
     print(f"\nconverged in {trajectory.length} legal better-response steps")
     print(f"equilibrium: {trajectory.final.as_dict()}")
     assert restricted.is_stable(trajectory.final)

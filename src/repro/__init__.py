@@ -39,7 +39,8 @@ answers every evaluation query. The ``backend`` knob picks the view:
     games — for standard **and custom** policies/schedulers alike,
     since the same strategy code runs on both views. Restricted
     (asymmetric) games ride the same kernel through a per-miner
-    allowed-coin mask pushed into the view.
+    allowed-coin mask pushed into the view
+    (``LearningEngine().run(restricted_game, start)``).
 
 ``backend="exact"``
     :class:`repro.learning.ExactView` — the original Fraction
@@ -55,11 +56,10 @@ To write a custom strategy, subclass
 :class:`~repro.learning.policies.BetterResponsePolicy` and override
 ``choose_view(self, view, miner, rng)`` (or
 :class:`~repro.learning.schedulers.ActivationScheduler` and
-``pick_view``); query the view and it runs at kernel speed on the
-default backend. The pre-view signatures
-(``choose(game, config, miner, rng)`` / ``pick(...)``) keep working
-through a thin adapter. See README "Writing custom strategies" for
-measured numbers (~9× on an E9-sized custom-policy workload).
+``pick_view``) — the only strategy entry points; query the view and
+it runs at kernel speed on the default backend. See README "Writing
+custom strategies" for measured numbers (~9× on an E9-sized
+custom-policy workload).
 
 Many-trajectory workloads (seeds × schedulers × policies) go through
 **one front door**: :func:`repro.run_many`. Describe each batch as a

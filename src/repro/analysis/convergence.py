@@ -93,7 +93,6 @@ def measure_convergence(
         engine = LearningEngine(
             policy=policy,
             scheduler=scheduler,
-            record_configurations=True,
             backend=backend,
         )
         steps: List[int] = []

@@ -24,11 +24,7 @@ from repro.core.equilibrium import (
     two_distinct_equilibria,
 )
 from repro.core.factories import random_configuration, random_game
-from repro.core.restricted import (
-    RestrictedGame,
-    greedy_restricted_equilibrium,
-    restricted_potential_compare,
-)
+from repro.core.restricted import RestrictedGame
 from repro.core.potential import (
     compare_potential,
     exact_potential_cycle_defect,
@@ -63,8 +59,6 @@ __all__ = [
     "random_configuration",
     "random_game",
     "RestrictedGame",
-    "greedy_restricted_equilibrium",
-    "restricted_potential_compare",
     "compare_potential",
     "exact_potential_cycle_defect",
     "find_nonzero_four_cycle",

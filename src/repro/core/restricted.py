@@ -13,11 +13,13 @@ Scrypt coin. This module implements that extension:
   make any particular move — restricting strategy sets only removes
   edges from the improvement graph, so `rank(list(s))` still strictly
   increases along every legal better-response step. E11 verifies this
-  empirically; :func:`restricted_potential_compare` exposes the
+  empirically; :meth:`RestrictedGame.compare_potential` exposes the
   comparison.
+* Restricted learning is ``LearningEngine().run(restricted, start)``
+  with any policy, scheduler and backend.
 * Equilibrium existence also survives (the Appendix A construction
   inserts each miner at its best *allowed* coin;
-  :func:`greedy_restricted_equilibrium`). The proof of Claim 6 carries
+  :meth:`RestrictedGame.greedy_equilibrium`). The proof of Claim 6 carries
   over verbatim because an inserted miner only makes other coins'
   crowds larger, never smaller — but *only* when every pair of miners
   shares comparable options; with disjoint hardware classes the claim
@@ -237,12 +239,10 @@ class RestrictedGame:
         moves = self.better_response_moves(miner, config)
         if not moves:
             return None
+        # max keeps the first maximum: ties go to the earliest coin in
+        # game order, as in Game.best_response and every GameView.
         return max(
-            moves,
-            key=lambda coin: (
-                self._game.payoff_after_move(miner, coin, config),
-                coin.name,
-            ),
+            moves, key=lambda coin: self._game.payoff_after_move(miner, coin, config)
         )
 
     def is_miner_stable(self, miner: Miner, config: Configuration) -> bool:
@@ -371,8 +371,8 @@ def as_restricted(
 ) -> Tuple[Game, Optional["RestrictedGame"]]:
     """Normalize ``(game-or-RestrictedGame, allowed=)`` to ``(base, restriction)``.
 
-    The shared front door of every analysis that accepts either a
-    :class:`RestrictedGame` or a plain :class:`Game` plus an
+    The shared front door of every analysis (and learning run) that
+    accepts either a :class:`RestrictedGame` or a plain :class:`Game` plus an
     ``allowed=`` mask: returns the base game and the restriction to
     honor (``None`` when unrestricted). Miners missing from an
     ``allowed=`` mapping are unrestricted; miners (or coins) unknown to
@@ -389,15 +389,3 @@ def as_restricted(
     if mask is None:
         return game, None
     return game, RestrictedGame(game, mask)
-
-
-def restricted_potential_compare(
-    restricted: RestrictedGame, first: Configuration, second: Configuration
-) -> int:
-    """Module-level alias of :meth:`RestrictedGame.compare_potential`."""
-    return restricted.compare_potential(first, second)
-
-
-def greedy_restricted_equilibrium(restricted: RestrictedGame) -> Configuration:
-    """Module-level alias of :meth:`RestrictedGame.greedy_equilibrium`."""
-    return restricted.greedy_equilibrium()

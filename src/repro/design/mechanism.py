@@ -114,7 +114,7 @@ class DynamicRewardDesign:
             policy=policy,
             scheduler=scheduler,
             max_steps=max_steps_per_phase,
-            record_configurations=False,
+            record="steps",
         )
 
     # ------------------------------------------------------------------

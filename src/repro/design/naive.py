@@ -56,7 +56,7 @@ def _run_two_phases(
 ) -> NaiveResult:
     """Boost → converge → revert → converge, then compare with target."""
     rng = make_rng(seed)
-    engine = LearningEngine(policy=policy, scheduler=scheduler, record_configurations=False)
+    engine = LearningEngine(policy=policy, scheduler=scheduler, record="steps")
     ledger = CostLedger()
 
     boosted = engine.run(game.with_rewards(designed), initial, seed=rng)

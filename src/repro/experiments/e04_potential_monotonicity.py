@@ -111,7 +111,7 @@ def run(
             for start_index in range(starts_per_game):
                 rng = rngs[(game_index * starts_per_game + start_index) % len(rngs)]
                 start = random_configuration(game, seed=rng)
-                engine = LearningEngine(policy=policy, record_configurations=True)
+                engine = LearningEngine(policy=policy)
                 trajectory = engine.run(game, start, seed=int(rng.integers(0, 2**31)))
                 steps += trajectory.length
                 for i in range(len(trajectory.configurations) - 1):

@@ -27,7 +27,7 @@ from repro.util.tables import Table
 def _two_equilibria(game, rng):
     """A pair of distinct equilibria: greedy + learned-from-random."""
     first = greedy_equilibrium(game)
-    engine = LearningEngine(record_configurations=False)
+    engine = LearningEngine(record="steps")
     for _ in range(20):
         start = random_configuration(game, seed=rng)
         second = engine.run(game, start, seed=rng).final

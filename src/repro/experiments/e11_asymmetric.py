@@ -24,10 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.paths import analyze_improvement_dag
+from repro.core.configuration import Configuration
 from repro.core.factories import random_configuration, random_game
 from repro.core.restricted import RestrictedGame
 from repro.experiments.common import ExperimentResult
-from repro.learning.restricted_engine import RestrictedLearningEngine
+from repro.learning.engine import LearningEngine
 from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
@@ -99,7 +100,7 @@ def run(
         coin_algorithms, miner_hardware = _hardware_split(game, rng)
         restricted = RestrictedGame.by_algorithm(game, coin_algorithms, miner_hardware)
 
-        engine = RestrictedLearningEngine(mode="random")
+        engine = LearningEngine()
         free_engine_steps = []
         restricted_steps = []
         converged_here = 0
@@ -112,8 +113,6 @@ def run(
                 ]
                 for miner in game.miners
             }
-            from repro.core.configuration import Configuration
-
             start = Configuration.from_mapping(game.miners, assignment)
             trajectory = engine.run(restricted, start, seed=int(rng.integers(0, 2**31)))
             total_runs += 1
@@ -132,9 +131,7 @@ def run(
                 ):
                     potential_ok = False
 
-            from repro.learning.engine import LearningEngine
-
-            free = LearningEngine(record_configurations=False).run(
+            free = LearningEngine(record="steps").run(
                 game, random_configuration(game, seed=rng), seed=int(rng.integers(0, 2**31))
             )
             free_engine_steps.append(free.length)

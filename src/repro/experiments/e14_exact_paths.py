@@ -86,7 +86,7 @@ def run(
         engine = LearningEngine(
             policy=MinimalGainPolicy(),
             scheduler=SmallestFirstScheduler(),
-            record_configurations=False,
+            record="steps",
         )
         longest_seen = 0
         for _ in range(empirical_runs):

@@ -1,13 +1,9 @@
 """The integer fast-path view over :class:`~repro.kernel.core.KernelGame`.
 
-Before the strategy-view refactor this module held drop-in "twin"
-trajectory loops for every dynamic (sequential, restricted,
-simultaneous), hand-synchronized against the Fraction loops and gated
-by an exact-type dispatch table — custom strategy subclasses silently
-fell back to the slow exact path. All of that is gone: there is now one
-trajectory loop (:func:`repro.learning.engine.run_better_response`),
-written against the :class:`~repro.learning.view.GameView` protocol,
-and this module only supplies the protocol's fast implementation.
+There is one trajectory loop
+(:func:`repro.learning.engine.run_better_response`), written against
+the :class:`~repro.learning.view.GameView` protocol; this module only
+supplies the protocol's fast implementation.
 
 :class:`KernelView` keeps the hot state as two plain integer lists —
 a coin index per miner and an incrementally maintained integer mass per
@@ -15,7 +11,10 @@ coin (O(1) update per :meth:`~KernelView.apply`) — and answers every
 evaluation query through :class:`KernelGame`'s integer
 cross-multiplication. Decisions are bit-for-bit the Fraction core's,
 so *any* policy or scheduler (standard or custom subclass) runs on the
-fast backend with identical trajectories and RNG draws.
+fast backend with identical trajectories and RNG draws. An optional
+allowed-coin mask restricts the candidate moves; that is how
+:class:`~repro.learning.engine.LearningEngine` runs a
+:class:`~repro.core.restricted.RestrictedGame` on this backend.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.learning.policies import (
     RandomImprovingPolicy,
 )
 from repro.learning.regret import MultiplicativeWeightsLearner, MwuResult
-from repro.learning.restricted_engine import RestrictedLearningEngine
 from repro.learning.simultaneous import (
     SimultaneousResult,
     cycling_fraction,
@@ -52,7 +51,6 @@ __all__ = [
     "RandomImprovingPolicy",
     "MultiplicativeWeightsLearner",
     "MwuResult",
-    "RestrictedLearningEngine",
     "SimultaneousResult",
     "cycling_fraction",
     "run_simultaneous",

@@ -22,21 +22,23 @@ The ``backend`` knob selects which view drives it:
     :class:`~repro.learning.view.ExactView` — the original
     :class:`fractions.Fraction` arithmetic. Kept for audits.
 
-The restricted engine, the simultaneous dynamic and the noisy sampled
-learner all run over the same views, so the restriction mask, the
-integer fast path and incremental state maintenance exist in one place.
+Restricted games (:meth:`LearningEngine.run` with ``allowed=``), the
+simultaneous dynamic and the noisy sampled learner all run over the
+same views, so the restriction mask, the integer fast path and
+incremental state maintenance exist in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.game import Game
+from repro.core.restricted import RestrictedGame, as_restricted
 from repro.exceptions import ConvergenceError
 from repro.obs.recorder import get_recorder
 from repro.learning.policies import BetterResponsePolicy, RandomImprovingPolicy
@@ -65,36 +67,28 @@ def run_better_response(
     rng: np.random.Generator,
     *,
     max_steps: int,
-    record_configurations: bool = True,
     raise_on_budget: bool = True,
-    what: str = "better-response learning",
-    record: Optional[str] = None,
+    record: str = "configs",
 ) -> Trajectory:
     """The shared trajectory stepper: one improving path over *view*.
 
     Strategy-agnostic and backend-agnostic — the view answers every
-    evaluation query, the policy/scheduler (resolved once to their
-    most-derived overrides) make every decision, and the loop verifies
-    the better-response contract on each step. All sequential dynamics
-    (:class:`LearningEngine`,
-    :class:`~repro.learning.restricted_engine.RestrictedLearningEngine`)
-    are thin wrappers over this function.
+    evaluation query, the policy's ``choose_view`` and the scheduler's
+    ``pick_view`` make every decision, and the loop verifies the
+    better-response contract on each step. :class:`LearningEngine` is a
+    thin wrapper over this function.
 
-    ``record`` selects one of :data:`RECORD_MODES` and supersedes the
-    older ``record_configurations`` flag (kept as an alias: ``True`` ⇒
-    ``"configs"``, ``False`` ⇒ ``"steps"``). ``"summary"`` skips the
-    per-step payoff verification (which exists to catch buggy *custom*
-    policies) along with the :class:`Step` records; it consumes exactly
-    the same RNG draws as the full modes.
+    ``record`` selects one of :data:`RECORD_MODES`. ``"summary"`` skips
+    the per-step payoff verification (which exists to catch buggy
+    *custom* policies) along with the :class:`Step` records; it consumes
+    exactly the same RNG draws as the full modes.
     """
-    if record is None:
-        record = "configs" if record_configurations else "steps"
-    elif record not in RECORD_MODES:
+    if record not in RECORD_MODES:
         raise ValueError(f"record must be one of {RECORD_MODES}, got {record!r}")
     recorder = get_recorder()
     run_started = perf_counter() if recorder.enabled else 0.0
-    choose = policy.view_chooser()
-    pick = scheduler.view_picker()
+    choose = policy.choose_view
+    pick = scheduler.pick_view
     scheduler.reset()
 
     summary_only = record == "summary"
@@ -144,7 +138,7 @@ def run_better_response(
             trajectory.converged = True
         elif raise_on_budget:
             raise ConvergenceError(
-                f"{what} did not converge within {max_steps} steps"
+                f"better-response learning did not converge within {max_steps} steps"
             )
     if record != "configs" and trajectory.length:
         trajectory.configurations.append(view.configuration())
@@ -178,12 +172,11 @@ class LearningEngine:
     max_steps:
         Step budget; exceeded ⇒ :class:`ConvergenceError` when
         ``raise_on_budget`` else an unconverged trajectory.
-    record_configurations:
-        Keep every intermediate configuration (needed by potential
-        audits; costs memory on long runs).
     record:
-        One of :data:`RECORD_MODES`; supersedes ``record_configurations``
-        when set. ``"summary"`` streams: step counts and final state
+        One of :data:`RECORD_MODES`. ``"configs"`` (default) keeps every
+        intermediate configuration (needed by potential audits; costs
+        memory on long runs); ``"steps"`` keeps the steps but only the
+        endpoints; ``"summary"`` streams: step counts and final state
         only, no per-step :class:`~repro.learning.trajectory.Step`
         records.
     backend:
@@ -197,10 +190,9 @@ class LearningEngine:
     policy: Optional[BetterResponsePolicy] = None
     scheduler: Optional[ActivationScheduler] = None
     max_steps: int = DEFAULT_MAX_STEPS
-    record_configurations: bool = True
     raise_on_budget: bool = True
     backend: str = "fast"
-    record: Optional[str] = None
+    record: str = "configs"
 
     def __post_init__(self) -> None:
         if self.policy is None:
@@ -213,12 +205,12 @@ class LearningEngine:
             raise ValueError(
                 f"backend must be 'fast', 'exact' or 'class', got {self.backend!r}"
             )
-        if self.record is not None and self.record not in RECORD_MODES:
+        if self.record not in RECORD_MODES:
             raise ValueError(f"record must be one of {RECORD_MODES}, got {self.record!r}")
 
     def run(
         self,
-        game: Game,
+        game: Union[Game, RestrictedGame],
         initial: Configuration,
         *,
         seed: RngLike = None,
@@ -228,23 +220,26 @@ class LearningEngine:
 
         Returns the full :class:`Trajectory`. Raises
         :class:`ConvergenceError` if the budget is exhausted and
-        ``raise_on_budget`` is set. ``allowed`` optionally restricts each
-        miner to a subset of coins (same contract as
-        :func:`~repro.core.restricted.normalize_mask`).
+        ``raise_on_budget`` is set. *game* may be a
+        :class:`~repro.core.restricted.RestrictedGame`, or ``allowed``
+        may restrict each miner to a subset of coins (same contract as
+        :func:`~repro.core.restricted.as_restricted`); *initial* must
+        then sit on allowed coins, else ``InvalidConfigurationError``.
         """
-        game.validate_configuration(initial)
+        base, restricted = as_restricted(game, allowed)
+        (base if restricted is None else restricted).validate_configuration(initial)
+        mask = None if restricted is None else restricted.allowed_map()
         rng = make_rng(seed)
         policy = self.policy
         scheduler = self.scheduler
         assert policy is not None and scheduler is not None  # set in __post_init__
-        view = make_view(game, initial, backend=self.backend, allowed=allowed)
+        view = make_view(base, initial, backend=self.backend, allowed=mask)
         return run_better_response(
             view,
             policy,
             scheduler,
             rng,
             max_steps=self.max_steps,
-            record_configurations=self.record_configurations,
             raise_on_budget=self.raise_on_budget,
             record=self.record,
         )
@@ -265,7 +260,7 @@ def converge(
         policy=policy,
         scheduler=scheduler,
         max_steps=max_steps,
-        record_configurations=False,
+        record="steps",
         backend=backend,
     )
     return engine.run(game, initial, seed=seed).final

@@ -7,22 +7,17 @@ at least one improving move, it picks one. The "who moves" half lives in
 :mod:`repro.learning.schedulers`.
 
 Policies are written against the strategy-view API
-(:class:`~repro.learning.view.GameView`): override
+(:class:`~repro.learning.view.GameView`): implement the abstract
 
     ``choose_view(self, view, miner, rng) -> Optional[Coin]``
 
 and query the view (``view.improving_moves(miner)``,
 ``view.payoff_after_move(miner, coin)``, …). Because the view protocol
-answers identically on both numeric backends, a policy written this way
-runs on the integer kernel (``backend="fast"``) with trajectories and
-RNG draws bit-identical to the Fraction backend — custom subclasses
-included; there is no slow-path fallback anymore.
-
-The pre-view signature ``choose(self, game, config, miner, rng)`` keeps
-working: subclasses that override it are driven through a thin adapter
-that materializes the view's configuration each step (exact semantics,
-still kernel-backed stability scans). Override whichever is
-convenient; the engine always honors the most-derived one.
+answers identically on every backend, a policy written this way runs on
+the integer kernel (``backend="fast"``) with trajectories and RNG draws
+bit-identical to the Fraction backend — custom subclasses included.
+To query a policy outside a run, wrap the state in a view:
+``policy.choose_view(ExactView(game, config), miner, rng)``.
 
 Every policy must return an *improving* coin (or ``None`` when the
 miner is stable); the learning engine verifies this contract, so a
@@ -33,88 +28,29 @@ measurements.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.coin import Coin
-from repro.core.configuration import Configuration
-from repro.core.game import Game
 from repro.core.miner import Miner
-from repro.learning.view import ExactView, GameView
-
-#: Engine-facing callable driving one policy decision on a view.
-ViewChooser = Callable[[GameView, Miner, np.random.Generator], Optional[Coin]]
+from repro.learning.view import GameView
 
 
 class BetterResponsePolicy(abc.ABC):
-    """Strategy interface: choose an improving coin for an active miner.
-
-    Subclasses override :meth:`choose_view` (preferred — runs natively
-    on both backends) or the legacy :meth:`choose`; each default
-    implementation delegates to the other, so either override serves
-    both entry points.
-    """
+    """Strategy interface: choose an improving coin for an active miner."""
 
     #: Short name used in experiment tables.
     name: str = "abstract"
 
-    def choose(
-        self,
-        game: Game,
-        config: Configuration,
-        miner: Miner,
-        rng: np.random.Generator,
-    ) -> Optional[Coin]:
-        """An improving coin for *miner* in *config*, or ``None``.
-
-        Pre-view entry point; the default wraps the arguments in an
-        :class:`~repro.learning.view.ExactView` snapshot and runs
-        :meth:`choose_view`.
-        """
-        if type(self).choose_view is BetterResponsePolicy.choose_view:
-            raise TypeError(
-                f"{type(self).__name__} must override choose_view() or choose()"
-            )
-        return self.choose_view(ExactView(game, config), miner, rng)
-
+    @abc.abstractmethod
     def choose_view(
         self,
         view: GameView,
         miner: Miner,
         rng: np.random.Generator,
     ) -> Optional[Coin]:
-        """An improving coin for *miner* at the view's state, or ``None``.
-
-        The engine-facing entry point; the default adapts to a legacy
-        :meth:`choose` override.
-        """
-        if type(self).choose is BetterResponsePolicy.choose:
-            raise TypeError(
-                f"{type(self).__name__} must override choose_view() or choose()"
-            )
-        return self.choose(view.game, view.configuration(), miner, rng)
-
-    def view_chooser(self) -> ViewChooser:
-        """The callable the trajectory loop drives, resolved once per run.
-
-        Walks the MRO for the most-derived override so that a subclass
-        of a standard policy that overrides only the legacy
-        :meth:`choose` is honored (its inherited ``choose_view`` would
-        otherwise shadow the override).
-        """
-        for klass in type(self).__mro__:
-            if klass is BetterResponsePolicy:
-                break
-            if "choose_view" in vars(klass):
-                return self.choose_view
-            if "choose" in vars(klass):
-                return lambda view, miner, rng: self.choose(
-                    view.game, view.configuration(), miner, rng
-                )
-        raise TypeError(
-            f"{type(self).__name__} must override choose_view() or choose()"
-        )
+        """An improving coin for *miner* at the view's state, or ``None``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -7,94 +7,40 @@ better-response learning process out of the arbitrary family that
 Theorem 1 quantifies over.
 
 Like policies, schedulers are written against the strategy-view API:
-override
+implement the abstract
 
     ``pick_view(self, view, unstable, rng) -> Miner``
 
 and read whatever the view exposes (``view.miners`` for a fixed
 activation order, payoffs for priority rules, …). View-based
 schedulers run on the integer kernel with RNG draws identical to the
-Fraction backend. The pre-view signature
-``pick(self, game, config, unstable, rng)`` keeps working through the
-same adapter scheme as policies; the engine honors the most-derived
-override.
+Fraction backend.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.configuration import Configuration
-from repro.core.game import Game
 from repro.core.miner import Miner
-from repro.learning.view import ExactView, GameView
-
-#: Engine-facing callable driving one scheduler decision on a view.
-ViewPicker = Callable[[GameView, Sequence[Miner], np.random.Generator], Miner]
+from repro.learning.view import GameView
 
 
 class ActivationScheduler(abc.ABC):
-    """Strategy interface: pick which unstable miner moves next.
-
-    Subclasses override :meth:`pick_view` (preferred) or the legacy
-    :meth:`pick`; each default delegates to the other.
-    """
+    """Strategy interface: pick which unstable miner moves next."""
 
     name: str = "abstract"
 
-    def pick(
-        self,
-        game: Game,
-        config: Configuration,
-        unstable: Sequence[Miner],
-        rng: np.random.Generator,
-    ) -> Miner:
-        """One miner out of the (non-empty) unstable set.
-
-        Pre-view entry point; the default wraps the arguments in an
-        :class:`~repro.learning.view.ExactView` snapshot and runs
-        :meth:`pick_view`.
-        """
-        if type(self).pick_view is ActivationScheduler.pick_view:
-            raise TypeError(
-                f"{type(self).__name__} must override pick_view() or pick()"
-            )
-        return self.pick_view(ExactView(game, config), unstable, rng)
-
+    @abc.abstractmethod
     def pick_view(
         self,
         view: GameView,
         unstable: Sequence[Miner],
         rng: np.random.Generator,
     ) -> Miner:
-        """One miner out of the (non-empty) unstable set, given the view.
-
-        The engine-facing entry point; the default adapts to a legacy
-        :meth:`pick` override.
-        """
-        if type(self).pick is ActivationScheduler.pick:
-            raise TypeError(
-                f"{type(self).__name__} must override pick_view() or pick()"
-            )
-        return self.pick(view.game, view.configuration(), unstable, rng)
-
-    def view_picker(self) -> ViewPicker:
-        """The callable the trajectory loop drives (most-derived override)."""
-        for klass in type(self).__mro__:
-            if klass is ActivationScheduler:
-                break
-            if "pick_view" in vars(klass):
-                return self.pick_view
-            if "pick" in vars(klass):
-                return lambda view, unstable, rng: self.pick(
-                    view.game, view.configuration(), unstable, rng
-                )
-        raise TypeError(
-            f"{type(self).__name__} must override pick_view() or pick()"
-        )
+        """One miner out of the (non-empty) unstable set, given the view."""
 
     def reset(self) -> None:
         """Clear any internal state before a new run (default: none)."""
@@ -135,7 +81,7 @@ class RoundRobinScheduler(ActivationScheduler):
             if candidate in unstable_set:
                 self._cursor = (self._cursor + offset + 1) % len(order)
                 return candidate
-        raise AssertionError("pick() called with no unstable miner; engine bug")
+        raise AssertionError("pick_view() called with no unstable miner; engine bug")
 
 
 class LargestFirstScheduler(ActivationScheduler):

@@ -27,10 +27,11 @@ to audit, and the numeric backend is chosen by picking a view:
     identical to :class:`ExactView` — for *every* strategy, including
     custom subclasses, since the same strategy code runs on both.
 
-Both views accept an optional per-miner *allowed-coin* mask, which is
+Every view accepts an optional per-miner *allowed-coin* mask, which is
 how :class:`~repro.core.restricted.RestrictedGame` dynamics run on the
 integer kernel: the restriction only filters candidate moves, so it
-pushes down into the views instead of needing its own loop.
+pushes down into the views instead of needing its own loop or engine —
+``LearningEngine().run(restricted_game, start)`` is restricted learning.
 """
 
 from __future__ import annotations
@@ -134,9 +135,8 @@ class GameView(abc.ABC):
 
         Ties break to the larger coin name. For a fixed miner the
         post-move RPU ordering equals the post-move payoff ordering,
-        so this is also "best move, ties to the larger name" — the
-        restricted engine's ``best`` mode. The current coin counts as
-        staying, as in :meth:`minimal_gain_move`.
+        so this is also "best move, ties to the larger name". The
+        current coin counts as staying, as in :meth:`minimal_gain_move`.
         """
 
     # -- state ---------------------------------------------------------
@@ -153,11 +153,6 @@ class GameView(abc.ABC):
         order is the initial configuration's, so materialized states
         compare equal across backends.
         """
-
-
-# The mask normalizer lives with the restricted-game model in core;
-# the legacy private name is kept for this layer's existing importers.
-_normalize_mask = normalize_mask
 
 
 class ExactView(GameView):
@@ -177,7 +172,7 @@ class ExactView(GameView):
         # Incrementally maintained {coin: M_c(s)}; keeps every query at
         # O(k) per miner instead of O(n·k).
         self._powers: Dict[Coin, Fraction] = game.coin_power_map(initial)
-        self._allowed = _normalize_mask(game, allowed)
+        self._allowed = normalize_mask(game, allowed)
 
     # -- structure -----------------------------------------------------
 

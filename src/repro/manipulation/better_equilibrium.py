@@ -87,7 +87,7 @@ def find_better_equilibrium_sampled(
     is exact — but absence of a witness proves nothing.
     """
     rngs = spawn_rngs(seed, 2 * samples)
-    engine = LearningEngine(record_configurations=False)
+    engine = LearningEngine(record="steps")
     best: Optional[Improvement] = None
     for index in range(samples):
         start = random_configuration(game, seed=rngs[2 * index])

@@ -97,7 +97,7 @@ class MarketScenario:
         """
         rng = make_rng(seed)
         if engine is None:
-            engine = LearningEngine(record_configurations=False)
+            engine = LearningEngine(record="steps")
         weights = self.weight_series()
 
         if initial is None:

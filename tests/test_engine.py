@@ -36,7 +36,7 @@ class TestConvergence:
 
     def test_trajectory_configurations_are_consistent(self):
         game = random_game(5, 2, seed=5)
-        trajectory = LearningEngine(record_configurations=True).run(
+        trajectory = LearningEngine(record="configs").run(
             game, random_configuration(game, seed=6), seed=7
         )
         for index, step in enumerate(trajectory.steps):
@@ -44,10 +44,10 @@ class TestConvergence:
             after = trajectory.configurations[index + 1]
             assert before.move(step.miner, step.target) == after
 
-    def test_record_configurations_off_keeps_endpoints(self):
+    def test_record_steps_keeps_endpoints(self):
         game = random_game(6, 3, seed=8)
         start = random_configuration(game, seed=9)
-        trajectory = LearningEngine(record_configurations=False).run(game, start, seed=10)
+        trajectory = LearningEngine(record="steps").run(game, start, seed=10)
         assert trajectory.initial == start
         assert game.is_stable(trajectory.final)
         assert len(trajectory.configurations) <= 2
@@ -91,16 +91,15 @@ class TestContractEnforcement:
         class SabotagePolicy(BetterResponsePolicy):
             name = "sabotage"
 
-            def choose(self, game, config, miner, rng):
+            def choose_view(self, view, miner, rng):
                 # Return the miner's own coin's worst alternative:
                 # deliberately pick a non-improving move when possible.
-                current = config.coin_of(miner)
-                for coin in game.coins:
-                    if coin != current and not game.is_better_response(
-                        miner, coin, config
-                    ):
+                current = view.coin_of(miner)
+                improving = view.improving_moves(miner)
+                for coin in view.coins:
+                    if coin != current and coin not in improving:
                         return coin
-                return game.best_response(miner, config)
+                return view.best_response(miner)
 
         game = random_game(8, 3, seed=3)
         start = random_configuration(game, seed=4)

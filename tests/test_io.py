@@ -99,10 +99,10 @@ class TestConfigurationRoundTrip:
 
 
 class TestTrajectoryRoundTrip:
-    def _trajectory(self, seed, record_configurations=True):
+    def _trajectory(self, seed, record="configs"):
         game = random_game(6, 3, seed=seed)
         start = random_configuration(game, seed=seed + 1)
-        engine = LearningEngine(record_configurations=record_configurations)
+        engine = LearningEngine(record=record)
         return game, engine.run(game, start, seed=seed + 2)
 
     def test_dict_round_trip_is_exact(self):
@@ -130,7 +130,7 @@ class TestTrajectoryRoundTrip:
         assert rebuilt.final == trajectory.final
 
     def test_round_trip_without_recorded_configurations(self):
-        game, trajectory = self._trajectory(26, record_configurations=False)
+        game, trajectory = self._trajectory(26, record="steps")
         assert len(trajectory.configurations) <= 2
         rebuilt = trajectory_from_dict(trajectory_to_dict(trajectory), game)
         assert rebuilt.configurations == trajectory.configurations

@@ -33,7 +33,6 @@ from repro.learning.policies import (
     MinimalGainPolicy,
     RandomImprovingPolicy,
 )
-from repro.learning.restricted_engine import RestrictedLearningEngine
 from repro.learning.schedulers import (
     LargestFirstScheduler,
     RoundRobinScheduler,
@@ -114,12 +113,12 @@ def test_trajectory_parity_on_200_random_games():
 
 
 def test_trajectory_parity_without_recording():
-    """record_configurations=False keeps [initial, final] in both backends."""
+    """record="steps" keeps [initial, final] in both backends."""
     game = random_game(8, 3, seed=5)
     start = random_configuration(game, seed=6)
     runs = []
     for backend in ("exact", "fast"):
-        engine = LearningEngine(record_configurations=False, backend=backend)
+        engine = LearningEngine(record="steps", backend=backend)
         runs.append(engine.run(game, start, seed=7))
     exact, fast = runs
     assert_trajectories_identical(exact, fast)
@@ -127,13 +126,13 @@ def test_trajectory_parity_without_recording():
 
 
 def test_custom_policy_falls_back_to_exact_loop():
-    """A policy subclass with its own choose() must not take the fast path."""
+    """A standard-policy subclass overriding choose_view is honored on fast."""
 
     class StubbornFirst(RandomImprovingPolicy):
         name = "stubborn-first"
 
-        def choose(self, game, config, miner, rng):
-            moves = game.better_response_moves(miner, config)
+        def choose_view(self, view, miner, rng):
+            moves = view.improving_moves(miner)
             return moves[0] if moves else None
 
     game = random_game(6, 3, seed=11)
@@ -147,7 +146,8 @@ def test_custom_policy_falls_back_to_exact_loop():
 
 
 def test_restricted_engine_parity():
-    """Restricted (asymmetric) learning agrees across backends and modes."""
+    """Restricted (asymmetric) learning agrees across backends and policies,
+    down to the next raw draw of the generator."""
     for game_seed in range(30):
         game = random_game(7, 3, seed=game_seed + 300)
         rng = np.random.default_rng(game_seed)
@@ -165,15 +165,18 @@ def test_restricted_engine_parity():
                 for miner in game.miners
             ],
         )
-        for mode in ("random", "best", "minimal"):
-            exact = RestrictedLearningEngine(mode=mode, backend="exact").run(
-                restricted, start, seed=game_seed
+        for policy in (RandomImprovingPolicy(), MaxRpuPolicy(), MinimalGainPolicy()):
+            rng_exact = np.random.default_rng(game_seed)
+            rng_fast = np.random.default_rng(game_seed)
+            exact = LearningEngine(policy=policy, backend="exact").run(
+                restricted, start, seed=rng_exact
             )
-            fast = RestrictedLearningEngine(mode=mode, backend="fast").run(
-                restricted, start, seed=game_seed
+            fast = LearningEngine(policy=policy, backend="fast").run(
+                restricted, start, seed=rng_fast
             )
             assert_trajectories_identical(exact, fast)
             assert restricted.is_stable(fast.final)
+            assert int(rng_exact.integers(0, 2**62)) == int(rng_fast.integers(0, 2**62))
 
 
 def test_simultaneous_parity():

@@ -114,7 +114,7 @@ class TestScaling:
         from repro.learning.engine import LearningEngine
 
         first = greedy_equilibrium(game)
-        engine = LearningEngine(record_configurations=False)
+        engine = LearningEngine(record="steps")
         second = None
         for seed in range(20):
             candidate = engine.run(

@@ -95,7 +95,7 @@ class TestReachability:
         reachable = set(reachable_equilibria(game, start))
         from repro.learning.engine import LearningEngine
 
-        engine = LearningEngine(record_configurations=False)
+        engine = LearningEngine(record="steps")
         for seed in range(10):
             final = engine.run(game, start, seed=seed).final
             assert final in reachable

@@ -13,6 +13,7 @@ from repro.learning.policies import (
     MinimalGainPolicy,
     RandomImprovingPolicy,
 )
+from repro.learning.view import ExactView
 
 ALL_POLICIES = list(STANDARD_POLICIES) + [
     FirstImprovingPolicy(),
@@ -43,7 +44,7 @@ class TestContract:
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
     def test_returns_improving_move(self, policy, game, rng):
         config, miner = _an_unstable_state(game)
-        choice = policy.choose(game, config, miner, rng)
+        choice = policy.choose_view(ExactView(game, config), miner, rng)
         assert choice is not None
         assert game.is_better_response(miner, choice, config)
 
@@ -52,14 +53,15 @@ class TestContract:
         from repro.core.equilibrium import greedy_equilibrium
 
         equilibrium = greedy_equilibrium(game)
+        view = ExactView(game, equilibrium)
         for miner in game.miners:
-            assert policy.choose(game, equilibrium, miner, rng) is None
+            assert policy.choose_view(view, miner, rng) is None
 
 
 class TestSpecifics:
     def test_best_response_maximizes(self, game, rng):
         config, miner = _an_unstable_state(game)
-        choice = BestResponsePolicy().choose(game, config, miner, rng)
+        choice = BestResponsePolicy().choose_view(ExactView(game, config), miner, rng)
         best = max(
             game.payoff_after_move(miner, coin, config) for coin in game.coins
         )
@@ -67,7 +69,7 @@ class TestSpecifics:
 
     def test_minimal_gain_minimizes(self, game, rng):
         config, miner = _an_unstable_state(game)
-        choice = MinimalGainPolicy().choose(game, config, miner, rng)
+        choice = MinimalGainPolicy().choose_view(ExactView(game, config), miner, rng)
         gains = {
             coin: game.payoff_after_move(miner, coin, config) - game.payoff(miner, config)
             for coin in game.better_response_moves(miner, config)
@@ -76,15 +78,15 @@ class TestSpecifics:
 
     def test_minimal_not_worse_than_best(self, game, rng):
         config, miner = _an_unstable_state(game)
-        minimal = MinimalGainPolicy().choose(game, config, miner, rng)
-        best = BestResponsePolicy().choose(game, config, miner, rng)
+        minimal = MinimalGainPolicy().choose_view(ExactView(game, config), miner, rng)
+        best = BestResponsePolicy().choose_view(ExactView(game, config), miner, rng)
         assert game.payoff_after_move(miner, minimal, config) <= game.payoff_after_move(
             miner, best, config
         )
 
     def test_max_rpu_picks_highest_post_move_rpu(self, game, rng):
         config, miner = _an_unstable_state(game)
-        choice = MaxRpuPolicy().choose(game, config, miner, rng)
+        choice = MaxRpuPolicy().choose_view(ExactView(game, config), miner, rng)
         moves = game.better_response_moves(miner, config)
         rpus = {
             coin: game.rewards[coin] / (game.coin_power(coin, config) + miner.power)
@@ -95,8 +97,9 @@ class TestSpecifics:
     def test_first_improving_deterministic(self, game, rng):
         config, miner = _an_unstable_state(game)
         policy = FirstImprovingPolicy()
-        assert policy.choose(game, config, miner, rng) == policy.choose(
-            game, config, miner, np.random.default_rng(99)
+        view = ExactView(game, config)
+        assert policy.choose_view(view, miner, rng) == policy.choose_view(
+            view, miner, np.random.default_rng(99)
         )
 
     def test_epsilon_bounds_validated(self):
@@ -109,7 +112,9 @@ class TestSpecifics:
         if len(moves) < 2:
             pytest.skip("need a state with ≥ 2 improving moves")
         seen = {
-            RandomImprovingPolicy().choose(game, config, miner, np.random.default_rng(i))
+            RandomImprovingPolicy().choose_view(
+                ExactView(game, config), miner, np.random.default_rng(i)
+            )
             for i in range(50)
         }
         assert seen == moves

@@ -83,7 +83,7 @@ class TestComparePotential:
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_along_random_trajectories(self, seed):
         game = random_game(6, 3, seed=seed)
-        engine = LearningEngine(record_configurations=True)
+        engine = LearningEngine()
         trajectory = engine.run(
             game, random_configuration(game, seed=seed + 50), seed=seed
         )
@@ -142,7 +142,7 @@ class TestSymmetricPotential:
 
         base = random_game(6, 3, seed=seed)
         game = base.with_rewards(RewardFunction.constant(base.coins, 10))
-        engine = LearningEngine(record_configurations=True)
+        engine = LearningEngine()
         trajectory = engine.run(
             game, random_configuration(game, seed=seed + 9), seed=seed
         )

@@ -6,7 +6,12 @@ from repro.core.configuration import Configuration
 from repro.core.factories import random_game
 from repro.core.restricted import RestrictedGame
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
-from repro.learning.restricted_engine import RestrictedLearningEngine
+from repro.learning.engine import LearningEngine
+from repro.learning.policies import (
+    MaxRpuPolicy,
+    MinimalGainPolicy,
+    RandomImprovingPolicy,
+)
 
 
 @pytest.fixture
@@ -92,7 +97,7 @@ class TestStrategicStructure:
     def test_stability_is_relative_to_restriction(self, game, restricted):
         # A restricted-stable configuration need not be free-stable, but
         # a free-stable legal configuration is restricted-stable.
-        engine = RestrictedLearningEngine()
+        engine = LearningEngine()
         final = engine.run(restricted, _legal_start(restricted), seed=1).final
         assert restricted.is_stable(final)
 
@@ -105,15 +110,19 @@ class TestStrategicStructure:
 
 
 class TestRestrictedLearning:
-    @pytest.mark.parametrize("mode", ["random", "best", "minimal"])
-    def test_converges(self, restricted, mode):
-        engine = RestrictedLearningEngine(mode=mode)
+    @pytest.mark.parametrize(
+        "policy",
+        [RandomImprovingPolicy(), MaxRpuPolicy(), MinimalGainPolicy()],
+        ids=["random", "best", "minimal"],
+    )
+    def test_converges(self, restricted, policy):
+        engine = LearningEngine(policy=policy)
         trajectory = engine.run(restricted, _legal_start(restricted), seed=2)
         assert trajectory.converged
         assert restricted.is_stable(trajectory.final)
 
     def test_potential_still_monotone(self, restricted):
-        engine = RestrictedLearningEngine(mode="random")
+        engine = LearningEngine()
         trajectory = engine.run(restricted, _legal_start(restricted), seed=3)
         for i in range(len(trajectory.configurations) - 1):
             assert (
@@ -130,11 +139,22 @@ class TestRestrictedLearning:
         )
         config = _legal_start(restricted).move(miner, forbidden)
         with pytest.raises(InvalidConfigurationError):
-            RestrictedLearningEngine().run(restricted, config)
+            LearningEngine().run(restricted, config)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RestrictedLearningEngine(mode="chaotic")
+    @pytest.mark.parametrize("form", ["allowed", "restricted-game"])
+    @pytest.mark.parametrize("backend", ["fast", "exact", "class"])
+    def test_masked_run_rejects_illegal_start(self, backend, form):
+        # Every miner may mine c1/c2 only, yet all start on c3: the run
+        # must refuse the start instead of converging off-mask.
+        game = random_game(4, 3, seed=1)
+        mask = {miner: game.coins[:2] for miner in game.miners}
+        start = Configuration(game.miners, [game.coins[2]] * len(game.miners))
+        engine = LearningEngine(backend=backend)
+        with pytest.raises(InvalidConfigurationError, match="cannot mine"):
+            if form == "allowed":
+                engine.run(game, start, seed=0, allowed=mask)
+            else:
+                engine.run(RestrictedGame(game, mask), start, seed=0)
 
 
 class TestRestrictedEquilibrium:

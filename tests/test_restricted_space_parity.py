@@ -30,7 +30,7 @@ from repro.core.equilibrium import enumerate_equilibria, iter_equilibria
 from repro.core.factories import random_game
 from repro.core.game import Game
 from repro.core.potential import find_nonzero_four_cycle
-from repro.core.restricted import RestrictedGame, greedy_restricted_equilibrium
+from repro.core.restricted import RestrictedGame
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.kernel.space import ConfigSpace
 
@@ -310,7 +310,7 @@ class TestGreedyProperty:
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[::4])
     def test_greedy_in_enumerated_set_iff_stable(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
-        greedy = greedy_restricted_equilibrium(restricted)
+        greedy = restricted.greedy_equilibrium()
         equilibria = set(restricted.enumerate_equilibria(backend="space"))
         assert (greedy in equilibria) == restricted.is_stable(greedy)
 
@@ -332,7 +332,7 @@ class TestGreedyProperty:
         restricted = RestrictedGame.by_algorithm(
             game, coin_algorithms, miner_hardware
         )
-        greedy = greedy_restricted_equilibrium(restricted)
+        greedy = restricted.greedy_equilibrium()
         assert restricted.is_stable(greedy)
         assert greedy in set(restricted.enumerate_equilibria(backend="space"))
 

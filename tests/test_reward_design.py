@@ -26,7 +26,7 @@ class TestStage1:
         milestone = intermediate_configuration(game, target, 1)
         assert designed.is_stable(milestone)
         # From several random starts, learning must land exactly there.
-        engine = LearningEngine(record_configurations=False)
+        engine = LearningEngine(record="steps")
         for seed in range(5):
             start = random_configuration(game, seed=seed)
             final = engine.run(designed, start, seed=seed).final

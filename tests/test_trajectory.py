@@ -8,7 +8,7 @@ from repro.learning.engine import LearningEngine
 
 def _run(seed=0, **kwargs):
     game = random_game(7, 3, seed=seed)
-    engine = LearningEngine(record_configurations=True, **kwargs)
+    engine = LearningEngine(**kwargs)
     start = random_configuration(game, seed=seed + 1)
     return game, engine.run(game, start, seed=seed + 2)
 

@@ -1,12 +1,12 @@
 """Parity suite for the strategy-view API: custom strategies, fast path.
 
-The unified trajectory loop drives *any* policy/scheduler — standard,
-view-based custom subclass, or legacy ``choose(game, config, …)``
-subclass — over either view backend. These tests assert the refactor's
-central promise: custom strategies run on ``backend="fast"`` with
-trajectories, step payoffs, materialized configurations *and RNG draw
-sequences* bit-identical to ``backend="exact"`` — including restricted
-(asymmetric) games, which now run on the integer kernel too.
+The unified trajectory loop drives *any* policy/scheduler — standard
+or custom ``choose_view``/``pick_view`` subclass — over either view
+backend. These tests assert the refactor's central promise: custom
+strategies run on ``backend="fast"`` with trajectories, step payoffs,
+materialized configurations *and RNG draw sequences* bit-identical to
+``backend="exact"`` — including restricted (asymmetric) games, which
+now run on the integer kernel too.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ from repro.core.restricted import RestrictedGame
 from repro.kernel.engine import KernelView
 from repro.learning.engine import LearningEngine
 from repro.learning.examples import PowerWeightedScheduler, SecondBestPolicy
-from repro.learning.policies import BetterResponsePolicy, RandomImprovingPolicy
-from repro.learning.restricted_engine import RestrictedLearningEngine
+from repro.learning.policies import (
+    BetterResponsePolicy,
+    MaxRpuPolicy,
+    MinimalGainPolicy,
+    RandomImprovingPolicy,
+)
 from repro.learning.schedulers import ActivationScheduler
 from repro.learning.view import ExactView, GameView, make_view
 
@@ -64,36 +68,32 @@ class RandomizedGreedyPolicy(BetterResponsePolicy):
         return moves[int(rng.integers(0, len(moves)))]
 
 
-class LegacyLexicographicPolicy(BetterResponsePolicy):
-    """Pre-view custom policy (overrides the 4-argument ``choose``)."""
+class LexicographicPolicy(BetterResponsePolicy):
+    """Custom policy: the improving coin with the largest name."""
 
-    name = "legacy-lex"
+    name = "lexicographic"
 
-    def choose(self, game, config, miner, rng):
-        moves = game.better_response_moves(miner, config)
+    def choose_view(self, view, miner, rng):
+        moves = view.improving_moves(miner)
         if not moves:
             return None
         return max(moves, key=lambda coin: coin.name)
 
 
-class LegacyOverrideOfStandard(RandomImprovingPolicy):
-    """Subclass of a standard policy overriding only legacy ``choose``.
-
-    The engine must honor the legacy override even though the parent
-    provides a (faster) ``choose_view`` — most-derived override wins.
-    """
+class FirstOverrideOfStandard(RandomImprovingPolicy):
+    """Subclass of a standard policy overriding its ``choose_view``."""
 
     name = "stubborn-first"
 
-    def choose(self, game, config, miner, rng):
-        moves = game.better_response_moves(miner, config)
+    def choose_view(self, view, miner, rng):
+        moves = view.improving_moves(miner)
         return moves[0] if moves else None
 
 
-class LegacyColdestScheduler(ActivationScheduler):
-    """Pre-view custom scheduler (overrides the 4-argument ``pick``)."""
+class ColdestScheduler(ActivationScheduler):
+    """Custom stateful scheduler: the least recently activated miner."""
 
-    name = "legacy-coldest"
+    name = "coldest"
 
     def __init__(self):
         self._last_seen = {}
@@ -101,7 +101,7 @@ class LegacyColdestScheduler(ActivationScheduler):
     def reset(self):
         self._last_seen = {}
 
-    def pick(self, game, config, unstable, rng):
+    def pick_view(self, view, unstable, rng):
         picked = min(
             unstable, key=lambda m: (self._last_seen.get(m.name, -1), m.name)
         )
@@ -112,11 +112,11 @@ class LegacyColdestScheduler(ActivationScheduler):
 CUSTOM_POLICIES = (
     SecondBestPolicy(),
     RandomizedGreedyPolicy(),
-    LegacyLexicographicPolicy(),
-    LegacyOverrideOfStandard(),
+    LexicographicPolicy(),
+    FirstOverrideOfStandard(),
 )
 
-CUSTOM_SCHEDULERS = (PowerWeightedScheduler(), LegacyColdestScheduler())
+CUSTOM_SCHEDULERS = (PowerWeightedScheduler(), ColdestScheduler())
 
 SIZES = ((4, 2), (6, 3), (8, 3), (10, 4))
 
@@ -152,23 +152,6 @@ def test_custom_strategies_fast_path_parity():
         assert int(rng_exact.integers(0, 2**62)) == int(rng_fast.integers(0, 2**62))
 
 
-def test_legacy_override_of_standard_policy_is_honored_on_fast():
-    """A legacy ``choose`` override on a standard-policy subclass wins."""
-    game = random_game(6, 3, seed=11)
-    start = random_configuration(game, seed=12)
-    custom = LearningEngine(policy=LegacyOverrideOfStandard(), backend="fast").run(
-        game, start, seed=13
-    )
-    # It must behave like first-improving (its override), not like the
-    # parent's random-improving choose_view.
-    from repro.learning.policies import FirstImprovingPolicy
-
-    reference = LearningEngine(policy=FirstImprovingPolicy(), backend="exact").run(
-        game, start, seed=13
-    )
-    assert_trajectories_identical(reference, custom)
-
-
 def test_strategy_without_any_override_fails_loudly():
     class EmptyPolicy(BetterResponsePolicy):
         name = "empty"
@@ -176,31 +159,10 @@ def test_strategy_without_any_override_fails_loudly():
     class EmptyScheduler(ActivationScheduler):
         name = "empty"
 
-    game = random_game(4, 2, seed=0)
-    config = random_configuration(game, seed=1)
-    rng = np.random.default_rng(2)
     with pytest.raises(TypeError, match="choose_view"):
-        EmptyPolicy().choose(game, config, game.miners[0], rng)
-    with pytest.raises(TypeError, match="choose_view"):
-        EmptyPolicy().view_chooser()
+        EmptyPolicy()
     with pytest.raises(TypeError, match="pick_view"):
-        EmptyScheduler().pick(game, config, list(game.miners), rng)
-    with pytest.raises(TypeError, match="pick_view"):
-        EmptyScheduler().view_picker()
-
-
-def test_legacy_entry_points_still_work_directly():
-    """policy.choose(game, config, …) / scheduler.pick(…) stay callable."""
-    game = random_game(6, 3, seed=21)
-    config = random_configuration(game, seed=22)
-    rng = np.random.default_rng(23)
-    miner = game.unstable_miners(config)[0]
-    choice = SecondBestPolicy().choose(game, config, miner, rng)
-    assert choice in game.better_response_moves(miner, config)
-    picked = PowerWeightedScheduler().pick(
-        game, config, game.unstable_miners(config), rng
-    )
-    assert picked in game.unstable_miners(config)
+        EmptyScheduler()
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +188,15 @@ def _random_restriction(game, rng):
     return restricted, start
 
 
-class BiasedRestrictedEngine(RestrictedLearningEngine):
-    """Custom restricted engine overriding the ``_select`` hook."""
+class BiasedRestrictedPolicy(BetterResponsePolicy):
+    """Custom policy mixing first-legal and largest-name moves."""
 
-    def _select(self, game, miner, config, moves, rng):
+    name = "biased-restricted"
+
+    def choose_view(self, view, miner, rng):
+        moves = view.improving_moves(miner)
+        if not moves:
+            return None
         if rng.random() < 0.5:
             return moves[0]
         return max(moves, key=lambda coin: coin.name)
@@ -242,10 +209,11 @@ def test_restricted_custom_select_runs_identically_on_both_backends():
         restricted, start = _random_restriction(game, rng)
         rng_exact = np.random.default_rng(game_seed + 1)
         rng_fast = np.random.default_rng(game_seed + 1)
-        exact = BiasedRestrictedEngine(backend="exact").run(
+        policy = BiasedRestrictedPolicy()
+        exact = LearningEngine(policy=policy, backend="exact").run(
             restricted, start, seed=rng_exact
         )
-        fast = BiasedRestrictedEngine(backend="fast").run(
+        fast = LearningEngine(policy=policy, backend="fast").run(
             restricted, start, seed=rng_fast
         )
         assert_trajectories_identical(exact, fast)
@@ -254,20 +222,35 @@ def test_restricted_custom_select_runs_identically_on_both_backends():
 
 
 def test_masked_views_agree_with_restricted_game_queries():
-    """Both views under a mask reproduce RestrictedGame's structure."""
+    """Every view under a mask reproduces RestrictedGame's structure."""
+    cases = []
     for game_seed in range(20):
         game = random_game(6, 4, seed=game_seed + 1200)
         rng = np.random.default_rng(game_seed)
-        restricted, start = _random_restriction(game, rng)
-        allowed = {miner: restricted.allowed_coins(miner) for miner in game.miners}
-        views = (
-            ExactView(game, start, allowed=allowed),
-            KernelView(game, start, allowed=allowed),
+        cases.append(_random_restriction(game, rng))
+    # A best-response tie (c2 and c3 pay alike): ties go to the earliest
+    # coin in game order, as in Game.best_response.
+    tie = Game.create(powers=[1, 1], reward_values=[4, 5, 5])
+    cases.append(
+        (
+            RestrictedGame(tie, {miner: tie.coins for miner in tie.miners}),
+            Configuration(tie.miners, [tie.coins[0]] * 2),
         )
+    )
+    for restricted, start in cases:
+        game = restricted.game
+        allowed = {miner: restricted.allowed_coins(miner) for miner in game.miners}
+        views = [
+            make_view(game, start, backend=backend, allowed=allowed)
+            for backend in ("exact", "fast", "class")
+        ]
         for view in views:
             for miner in game.miners:
                 assert view.improving_moves(miner) == (
                     restricted.better_response_moves(miner, start)
+                )
+                assert view.best_response(miner) == (
+                    restricted.best_response(miner, start)
                 )
                 assert set(view.allowed_coins(miner)) == set(
                     restricted.allowed_coins(miner)
@@ -445,11 +428,15 @@ def test_custom_strategy_parity_property(data, run_seed):
             for miner, mask in zip(game.miners, masks)
         },
     )
-    for mode in ("random", "best", "minimal"):
-        r_exact = RestrictedLearningEngine(mode=mode, backend="exact").run(
+    for restricted_policy in (
+        RandomImprovingPolicy(),
+        MaxRpuPolicy(),
+        MinimalGainPolicy(),
+    ):
+        r_exact = LearningEngine(policy=restricted_policy, backend="exact").run(
             restricted, start, seed=run_seed
         )
-        r_fast = RestrictedLearningEngine(mode=mode, backend="fast").run(
+        r_fast = LearningEngine(policy=restricted_policy, backend="fast").run(
             restricted, start, seed=run_seed
         )
         assert_trajectories_identical(r_exact, r_fast)
