@@ -173,8 +173,8 @@ def class_basin_profile(
     Each sample draws a uniform-multinomial start per class (stream
     ``2i``) and runs the chunked class stepper (stream ``2i+1``); the
     reached stable profile is tallied. ``orbit_sizes`` carries the
-    exact per-miner multiplicity of every reached profile, computed
-    from the multinomial closed form — no per-miner enumeration.
+    exact per-miner multiplicity of every reached profile from
+    :meth:`ClassGame.orbit_size` — no per-miner enumeration.
     """
     if samples < 1:
         raise ValueError(f"samples must be ≥ 1, got {samples}")

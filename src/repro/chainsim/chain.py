@@ -28,12 +28,15 @@ class Blockchain:
     difficulty: float
     rule: DifficultyRule = field(default_factory=StaticDifficulty)
     blocks: List[Block] = field(default_factory=list)
+    #: ``blocks``' times, grown by :meth:`append`; a per-block rebuild is O(n²).
+    _timestamps_h: List[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.difficulty <= 0:
             raise SimulationError(
                 f"{self.spec.name}: initial difficulty must be positive"
             )
+        self._timestamps_h = [b.timestamp_h for b in self.blocks]
 
     @property
     def height(self) -> int:
@@ -56,9 +59,9 @@ class Blockchain:
             reward_coins=self.spec.coins_per_block,
         )
         self.blocks.append(block)
-        timestamps = [b.timestamp_h for b in self.blocks]
+        self._timestamps_h.append(timestamp_h)
         self.difficulty = self.rule.adjust(
-            timestamps, self.difficulty, self.target_interval_h
+            self._timestamps_h, self.difficulty, self.target_interval_h
         )
         if self.difficulty <= 0:
             raise SimulationError(f"{self.spec.name}: difficulty rule produced ≤ 0")
@@ -77,7 +80,7 @@ class Blockchain:
 
     def mean_interval_h(self, last: Optional[int] = None) -> Optional[float]:
         """Mean spacing of the last *last* blocks (None = whole chain)."""
-        times = [b.timestamp_h for b in self.blocks]
+        times = self._timestamps_h
         if last is not None:
             times = times[-last - 1 :]
         if len(times) < 2:

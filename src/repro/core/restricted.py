@@ -267,34 +267,23 @@ class RestrictedGame:
         """Appendix A's construction restricted to allowed coins.
 
         Miners are inserted in decreasing power order, each to its best
-        *allowed* coin given earlier insertions. The result is stable in
-        the restricted game for the same reason as Claim 6: later
-        insertions only increase crowds.
+        *allowed* coin given earlier insertions; ties go to the earliest
+        coin in game order, whatever the mask's mapping order. The
+        result is stable in the restricted game for the same reason as
+        Claim 6: later insertions only increase crowds.
         """
-        ordered = sorted_by_power(self.miners)
-        placed: List[Miner] = []
-        choices: List[Coin] = []
-        partial: Optional[Configuration] = None
-        for miner in ordered:
-            best_coin: Optional[Coin] = None
-            best_value: Optional[Fraction] = None
-            for coin in self.allowed_coins(miner):
-                occupied = Fraction(0)
-                if partial is not None:
-                    occupied = sum(
-                        (other.power for other in partial.miners_on(coin)),
-                        Fraction(0),
-                    )
-                value = self._game.rewards[coin] * miner.power / (occupied + miner.power)
-                if best_value is None or value > best_value:
-                    best_value = value
-                    best_coin = coin
-            assert best_coin is not None
-            placed.append(miner)
-            choices.append(best_coin)
-            partial = Configuration(placed, choices)
-        assert partial is not None
-        assignment = {miner: coin for miner, coin in partial}
+        rewards = self._game.rewards
+        occupied: Dict[Coin, Fraction] = {}
+        assignment: Dict[Miner, Coin] = {}
+        for miner in sorted_by_power(self.miners):
+            power = miner.power
+            # max() keeps the first of equal values: the earliest coin.
+            best = max(
+                self.allowed_in_coin_order(miner),
+                key=lambda coin: rewards[coin] * power / (occupied.get(coin, 0) + power),
+            )
+            assignment[miner] = best
+            occupied[best] = occupied.get(best, 0) + power
         return Configuration.from_mapping(self.miners, assignment)
 
     def compare_potential(self, first: Configuration, second: Configuration) -> int:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, prod
 from time import perf_counter
 from typing import (
     Dict,
@@ -65,7 +65,7 @@ from typing import (
     Union,
 )
 
-from repro._numeric import Number, to_positive_fraction
+from repro._numeric import Number, multinomial, to_positive_fraction
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
@@ -695,15 +695,10 @@ class ClassGame:
 
     def orbit_size(self, counts: Sequence[Sequence[int]]) -> int:
         """Per-miner configurations represented by one count matrix —
-        the product of per-class multinomial coefficients."""
-        total = 1
-        for k, row in enumerate(counts):
-            mult = factorial(self.populations[k])
-            for value in row:
-                if value > 1:
-                    mult //= factorial(value)
-            total *= mult
-        return total
+        the product of per-class :func:`~repro._numeric.multinomial`
+        coefficients. An invalid matrix raises (:meth:`validate_counts`)."""
+        self.validate_counts(counts)
+        return prod(multinomial(row) for row in counts)
 
 
 # ----------------------------------------------------------------------

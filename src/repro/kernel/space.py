@@ -48,9 +48,10 @@ so the unrestricted hot paths are untouched.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import (
     Dict,
     FrozenSet,
@@ -63,6 +64,7 @@ from typing import (
     Union,
 )
 
+from repro._numeric import multinomial
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
@@ -103,8 +105,9 @@ def _block_choice_table(
 ) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]:
     """Choice table for one symmetry block: every non-decreasing
     coin-index tuple of length *size* drawn from *alphabet*, its
-    per-coin counts and its orbit multiplicity (the multinomial
-    coefficient).
+    per-coin counts and its orbit multiplicity (the
+    :func:`~repro._numeric.multinomial` coefficient, as in
+    :meth:`ClassGame.orbit_size`).
 
     The table depends only on (block size, alphabet) — not on which
     miners form the block or which game owns it — so it is cached at
@@ -114,13 +117,8 @@ def _block_choice_table(
     """
     block = []
     for combo in itertools.combinations_with_replacement(alphabet, size):
-        counts: Dict[int, int] = {}
-        for j in combo:
-            counts[j] = counts.get(j, 0) + 1
-        mult = factorial(size)
-        for c in counts.values():
-            mult //= factorial(c)
-        block.append((combo, tuple(sorted(counts.items())), mult))
+        counts = Counter(combo)
+        block.append((combo, tuple(sorted(counts.items())), multinomial(counts.values())))
     return tuple(block)
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.chainsim.chain import Blockchain
-from repro.chainsim.difficulty import StaticDifficulty
+from repro.chainsim.chain import Block, Blockchain
+from repro.chainsim.difficulty import DifficultyRule, StaticDifficulty
 from repro.exceptions import SimulationError
 from repro.market.coins import bitcoin_spec
 
@@ -58,3 +58,36 @@ class TestQueries:
         assert chain.mean_interval_h() is None
         chain.append(0.0, "a")
         assert chain.mean_interval_h() is None
+
+
+class RecordingRule(DifficultyRule):
+    """Keeps a copy of the timestamps each adjustment was given."""
+
+    def __init__(self):
+        self.seen = []
+
+    def adjust(self, timestamps_h, difficulty, target_interval_h):
+        self.seen.append(list(timestamps_h))
+        return difficulty
+
+
+class TestRuleTimestamps:
+    def test_rule_sees_every_block_time_oldest_first(self):
+        rule = RecordingRule()
+        chain = Blockchain(spec=bitcoin_spec(), difficulty=100.0, rule=rule)
+        for t in (0.5, 1.0, 1.0, 2.5):
+            chain.append(t, "a")
+        assert rule.seen == [[0.5], [0.5, 1.0], [0.5, 1.0, 1.0], [0.5, 1.0, 1.0, 2.5]]
+
+    def test_chain_built_with_blocks_starts_in_sync(self):
+        rule = RecordingRule()
+        blocks = [
+            Block(height=i, timestamp_h=t, miner="a", reward_coins=1.0)
+            for i, t in enumerate((0.0, 0.2, 0.7))
+        ]
+        chain = Blockchain(
+            spec=bitcoin_spec(), difficulty=100.0, rule=rule, blocks=blocks
+        )
+        chain.append(1.0, "b")
+        assert rule.seen == [[0.0, 0.2, 0.7, 1.0]]
+        assert chain.mean_interval_h() == pytest.approx(1.0 / 3)

@@ -623,6 +623,40 @@ def test_validate_counts_rejects_malformed_states():
         cgame.validate_counts([[2, 1, 0], [0, 1, 1]])
 
 
+def test_orbit_size_rejects_invalid_count_matrices():
+    cgame = ClassGame.from_spec(
+        [(1, (0, 1), 4), (3, (1, 2), 2)], rewards=[1, 2, 3]
+    )
+    assert cgame.orbit_size([[2, 2, 0], [0, 1, 1]]) == 6 * 2
+    # A row missing its population used to yield a meaningless integer.
+    with pytest.raises(InvalidConfigurationError, match="sum"):
+        cgame.orbit_size([[2, 1, 0], [0, 1, 1]])
+    with pytest.raises(InvalidConfigurationError, match="mask"):
+        cgame.orbit_size([[3, 0, 1], [0, 1, 1]])
+    with pytest.raises(InvalidConfigurationError, match="negative"):
+        cgame.orbit_size([[5, -1, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize(
+    "spec, rewards",
+    [
+        ([(1, None, 5)], [3, 2]),
+        ([(1, (0, 1), 4), (3, (1, 2), 3)], [1, 2, 3]),
+        ([(2, (0, 2), 3), (1, None, 4), (5, (1,), 2)], [4, 3, 2]),
+        ([(1, (0, 1, 3), 6), (2, (2, 3), 5)], [5, 4, 3, 2]),
+    ],
+)
+def test_orbit_sizes_partition_the_masked_configuration_space(spec, rewards):
+    """Every per-miner configuration lies in exactly one count profile's
+    orbit, so the orbit sizes sum to ∏_k |allowed_k| ** population_k."""
+    cgame = ClassGame.from_spec(spec, rewards=rewards)
+    expected = 1
+    for _, allowed, population in spec:
+        width = len(rewards) if allowed is None else len(allowed)
+        expected *= width**population
+    assert sum(cgame.orbit_size(p) for p in cgame.iter_profiles()) == expected
+
+
 def test_class_payoffs_and_compression_reporting():
     cgame = ClassGame.from_spec(
         [(2, None, 30), (1, None, 10)], rewards=[6, 3]

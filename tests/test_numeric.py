@@ -1,10 +1,19 @@
 """Tests for the exact-arithmetic conversion layer."""
 
+import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from repro._numeric import as_float, to_fraction, to_positive_fraction
+from repro._numeric import as_float, multinomial, to_fraction, to_positive_fraction
+
+
+def compositions(n, parts):
+    """Every tuple of *parts* non-negative ints summing to *n*."""
+    for cuts in itertools.combinations_with_replacement(range(n + 1), parts - 1):
+        bounds = (0, *cuts, n)
+        yield tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 class TestToFraction:
@@ -57,3 +66,37 @@ class TestToPositiveFraction:
 def test_as_float():
     assert as_float(Fraction(1, 2)) == 0.5
     assert as_float(3) == 3.0
+
+
+class TestMultinomial:
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_equals_the_factorial_quotient(self, n, parts):
+        for counts in compositions(n, parts):
+            expected = factorial(n) // prod(factorial(c) for c in counts)
+            assert multinomial(counts) == expected
+
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_sums_to_the_power_over_all_compositions(self, n, parts):
+        # Multinomial theorem at x_1 = … = x_m = 1.
+        assert sum(multinomial(c) for c in compositions(n, parts)) == parts**n
+
+    def test_order_and_zero_parts_do_not_matter(self):
+        assert multinomial([3, 0, 2, 5]) == multinomial([5, 2, 3]) == 2520
+        assert multinomial([]) == 1
+        assert multinomial([0, 0]) == 1
+
+    def test_large_counts_stay_exact(self):
+        counts = (4_000, 3_500, 2_500)
+        value = multinomial(counts)
+        # Pascal's rule for multinomials: lowering each part by one in
+        # turn partitions the orbits by the last element's coin.
+        assert value == sum(
+            multinomial(counts[:j] + (counts[j] - 1,) + counts[j + 1 :])
+            for j in range(len(counts))
+        )
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            multinomial([3, -1])

@@ -23,7 +23,7 @@ from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.core.potential import find_nonzero_four_cycle
 from repro.exceptions import InvalidModelError
-from repro.kernel.space import ConfigSpace
+from repro.kernel.space import ConfigSpace, _block_choice_table
 
 # 100 random games: ids 0-59 are 4-miner, 60-99 are 5-miner; coins
 # alternate between 2 and 3 so both radices are exercised.
@@ -219,3 +219,12 @@ class TestSymmetryInternals:
             for member in space.orbit_codes(assign):
                 config = space.config_of(member)
                 assert game.is_stable(config) == stable
+
+
+@pytest.mark.parametrize("size", range(7))
+@pytest.mark.parametrize("alphabet", [(0,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)])
+def test_block_choice_multiplicities_cover_every_assignment(size, alphabet):
+    """A block's canonical choices, weighted by their multiplicities,
+    count every per-miner assignment of the block exactly once."""
+    table = _block_choice_table(size, alphabet)
+    assert sum(mult for _, _, mult in table) == len(alphabet) ** size

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configuration import Configuration
+from repro.core.equilibrium import greedy_equilibrium
 from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.core.restricted import RestrictedGame
@@ -237,6 +238,19 @@ def test_masked_views_agree_with_restricted_game_queries():
             Configuration(tie.miners, [tie.coins[0]] * 2),
         )
     )
+    # A greedy-insertion tie (c1 and c2 pay the first miner alike) under
+    # one mask given in both mapping orders: greedy_equilibrium breaks it
+    # in game coin order, as the unmasked construction does.
+    greedy_tie = Game.create(powers=[2, 1], reward_values=[5, 5])
+    for coins in (greedy_tie.coins, greedy_tie.coins[::-1]):
+        restricted = RestrictedGame(
+            greedy_tie, {miner: coins for miner in greedy_tie.miners}
+        )
+        assert restricted.allowed_coins(greedy_tie.miners[0]) == tuple(coins)
+        assert restricted.greedy_equilibrium() == greedy_equilibrium(greedy_tie)
+        cases.append(
+            (restricted, Configuration(greedy_tie.miners, [coins[0]] * 2))
+        )
     for restricted, start in cases:
         game = restricted.game
         allowed = {miner: restricted.allowed_coins(miner) for miner in game.miners}
