@@ -14,7 +14,7 @@ The ``restricted`` pair runs the same workload on hardware-restricted
 games at E11's size (10 miners × 4 coins, coins split between two PoW
 algorithms): the mask-aware engine walks only the ~2^10 mask-valid
 codes with per-miner digit alphabets, while the Fraction path
-brute-forces ``RestrictedGame.all_configurations``.
+brute-forces the masked ``Game.all_configurations``.
 
 Cross-checks assert both paths return identical answers, so the bench
 doubles as an end-to-end parity test at benchmark scale.
@@ -76,7 +76,7 @@ def _restricted_workload(backend):
     results = []
     for restricted in _restricted_games():
         analysis = analyze_improvement_dag(restricted, backend=backend)
-        equilibria = restricted.enumerate_equilibria(backend=backend)
+        equilibria = enumerate_equilibria(restricted, backend=backend)
         results.append(
             (analysis.acyclic, analysis.longest_path, list(analysis.sinks), equilibria)
         )

@@ -12,7 +12,7 @@ RPU depending on which side of the wall it was born on.
 Run: ``python examples/asymmetric_mining.py``
 """
 
-from repro.core import RestrictedGame, random_game
+from repro.core import RestrictedGame, greedy_equilibrium, random_game
 from repro.core.configuration import Configuration
 from repro.learning import LearningEngine
 
@@ -48,7 +48,7 @@ def main() -> None:
     print("\nnote the RPU gap between hardware classes: the wall prevents")
     print("arbitrage, so per-unit profitability does NOT equalize across it.")
 
-    greedy = restricted.greedy_equilibrium()
+    greedy = greedy_equilibrium(restricted)
     print(f"\nrestricted greedy construction stable: {restricted.is_stable(greedy)}")
 
 

@@ -38,9 +38,10 @@ answers every evaluation query. The ``backend`` knob picks the view:
     ``tests/test_view_parity.py`` assert on hundreds of randomized
     games — for standard **and custom** policies/schedulers alike,
     since the same strategy code runs on both views. Restricted
-    (asymmetric) games ride the same kernel through a per-miner
-    allowed-coin mask pushed into the view
-    (``LearningEngine().run(restricted_game, start)``).
+    (asymmetric) games ride the same kernel: the allowed-coin mask is a
+    field of :class:`~repro.core.game.Game`, so
+    ``LearningEngine().run(game.with_allowed(mask), start)`` is
+    restricted learning.
 
 ``backend="exact"``
     :class:`repro.learning.ExactView` — the original Fraction
@@ -116,17 +117,20 @@ the seed-size Theorem 1 workload (six 5×2 games) runs ~55× faster
 (176 ms → 3.2 ms), a 12×2 game ~440× (13.4 s → 0.03 s); practical
 scan limits rose from 100k Fraction nodes to 2M integer-code nodes.
 
-The engine is *mask-aware*: all four entry points also accept a
-:class:`~repro.core.restricted.RestrictedGame` (or a plain game plus
-an ``allowed=`` per-miner coin mask) and then analyze the paper's
-asymmetric case exactly — each miner's digit becomes an alphabet of
-its allowed coin indices, both walks visit only mask-valid codes with
-the same O(1) incremental updates, and symmetry merges only miners
+The engine is *mask-aware*. The allowed-coin mask is a field of the
+game (``Game(..., allowed=mask)``, ``game.with_allowed(mask)``, or
+:meth:`RestrictedGame.by_algorithm
+<repro.core.restricted.RestrictedGame.by_algorithm>` for hardware
+classes), and on a masked game all four entry points analyze the
+paper's asymmetric case exactly: each miner's digit becomes an
+alphabet of its allowed coin indices, both walks visit only mask-valid
+codes with the same O(1) incremental updates, and symmetry merges only
+miners
 with equal power *and* equal allowed set. Restricted equilibrium
 sets, the restricted improvement DAG (Theorem 1 survives — the
 restriction only removes edges), exact longest legal paths, and
 legal-cycle Proposition 1 witnesses all match the Fraction brute
-force over ``RestrictedGame.all_configurations``
+force over the masked ``Game.all_configurations``
 configuration-for-configuration
 (``tests/test_restricted_space_parity.py``). Measured: four E11-sized
 hardware-restricted games (10×4) run ~110× faster (4.4 s → 40 ms),

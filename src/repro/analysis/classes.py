@@ -29,23 +29,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.game import Game
-from repro.core.restricted import RestrictedGame
 from repro.kernel.classes import ClassGame, Profile
 from repro.analysis.convergence import ConvergenceStats, stats_from_steps
 from repro.util.rng import RngLike, normalize_seed
 
-GameLike = Union[Game, RestrictedGame, ClassGame]
+GameLike = Union[Game, ClassGame]
 
 
-def _as_class_game(game: GameLike, allowed) -> ClassGame:
-    if isinstance(game, ClassGame):
-        if allowed is not None:
-            raise ValueError(
-                "allowed= cannot be combined with a ClassGame; the spec "
-                "already fixes each class's alphabet"
-            )
-        return game
-    return ClassGame.from_game(game, allowed=allowed)
+def _as_class_game(game: GameLike) -> ClassGame:
+    return game if isinstance(game, ClassGame) else ClassGame.from_game(game)
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,11 @@ def measure_class_convergence(
     scheduler: Optional[str] = None,
     max_steps: Optional[int] = None,
     seed: RngLike = None,
-    allowed=None,
 ) -> ConvergenceStats:
     """Macro-step statistics of the chunked class stepper.
 
-    Accepts a per-miner :class:`Game`/:class:`RestrictedGame` (compressed
-    on entry, optionally with an ``allowed=`` mask) or a ready
+    Accepts a per-miner :class:`Game`, masked or not (compressed on
+    entry), or a ready
     :class:`ClassGame` built ``from_spec`` — the only route when the
     population is too large to materialize. Steps here are *macro*
     steps (one chunked class move each), so the numbers measure the
@@ -146,7 +137,7 @@ def measure_class_convergence(
     """
     if runs < 1:
         raise ValueError(f"runs must be ≥ 1, got {runs}")
-    cgame = _as_class_game(game, allowed)
+    cgame = _as_class_game(game)
     results = _run_class_cells(
         cgame,
         runs=runs,
@@ -166,7 +157,6 @@ def class_basin_profile(
     scheduler: Optional[str] = None,
     max_steps: Optional[int] = None,
     seed: RngLike = None,
-    allowed=None,
 ) -> ClassBasinProfile:
     """Landing distribution over stable count profiles.
 
@@ -178,7 +168,7 @@ def class_basin_profile(
     """
     if samples < 1:
         raise ValueError(f"samples must be ≥ 1, got {samples}")
-    cgame = _as_class_game(game, allowed)
+    cgame = _as_class_game(game)
     results = _run_class_cells(
         cgame,
         runs=samples,

@@ -22,10 +22,9 @@ exact quantities no sampling can give:
   original Configuration-keyed graph API, used by the ``exact``
   backend and the parity suite.
 
-Every function accepts a plain :class:`~repro.core.game.Game`, a
-:class:`~repro.core.restricted.RestrictedGame` (the paper's asymmetric
-case), or a game plus an ``allowed=`` per-miner coin mask; restricted
-analyses cover only mask-valid nodes and legal edges, on both backends.
+On a masked :class:`~repro.core.game.Game` (the paper's asymmetric
+case) every analysis covers only mask-valid nodes and legal edges, on
+both backends.
 
 Everything here is exponential in ``n`` and guarded accordingly; the
 space backend's guard counts *scanned* nodes, i.e. symmetry orbits when
@@ -35,13 +34,10 @@ reduction applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
-from repro.core.miner import Miner
-from repro.core.restricted import RestrictedGame, as_restricted
 from repro.exceptions import InvalidModelError
 
 #: Adjacency: configuration → better-response successors.
@@ -75,12 +71,11 @@ class DagAnalysis:
 
 
 def analyze_improvement_dag(
-    game: Union[Game, RestrictedGame],
+    game: Game,
     *,
     limit: int = _SPACE_LIMIT,
     backend: str = "space",
     symmetry: bool = True,
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
 ) -> DagAnalysis:
     """Acyclicity, exact longest path and all sinks, in one pass.
 
@@ -91,24 +86,20 @@ def analyze_improvement_dag(
     smaller) count. ``backend="exact"`` materializes the
     Configuration-keyed graph — same answers, for audits and parity.
 
-    *game* may be a :class:`~repro.core.restricted.RestrictedGame` (or
-    a plain game plus an ``allowed=`` per-miner coin mask): the
-    analysis then covers the *restricted* improvement DAG — mask-valid
-    nodes, legal better-response edges only — whose sinks are exactly
-    the restricted equilibria, and symmetry merges only miners with
-    equal power *and* equal allowed set.
+    On a masked game the analysis covers the *restricted* improvement
+    DAG — mask-valid nodes, legal better-response edges only — whose
+    sinks are exactly the restricted equilibria, and symmetry merges
+    only miners with equal power *and* equal allowed set.
     """
-    base, restricted = as_restricted(game, allowed)
-    source = base if restricted is None else restricted
     if backend == "exact":
-        graph = improvement_graph(source, limit=limit)
+        graph = improvement_graph(game, limit=limit)
         acyclic = is_acyclic(graph)
         return DagAnalysis(
             acyclic=acyclic,
             longest_path=longest_improvement_path(graph) if acyclic else None,
             sinks=tuple(sink_configurations(graph)),
             nodes_scanned=len(graph),
-            total_configurations=source.configuration_count(),
+            total_configurations=game.configuration_count(),
             symmetry_reduced=False,
         )
     if backend != "space":
@@ -117,7 +108,7 @@ def analyze_improvement_dag(
         )
     from repro.kernel.space import ConfigSpace
 
-    space = ConfigSpace(source, symmetry=symmetry)
+    space = ConfigSpace(game, symmetry=symmetry)
     scanned = space.orbit_count() if space.symmetry else space.size
     if scanned > limit:
         raise InvalidModelError(
@@ -134,38 +125,27 @@ def analyze_improvement_dag(
     )
 
 
-def improvement_graph(
-    game: Union[Game, RestrictedGame],
-    *,
-    limit: int = _DEFAULT_LIMIT,
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
-) -> ImprovementGraph:
+def improvement_graph(game: Game, *, limit: int = _DEFAULT_LIMIT) -> ImprovementGraph:
     """The full better-response graph of *game*, Configuration-keyed.
 
     Raises :class:`InvalidModelError` when the configuration space
     exceeds *limit* (the graph has ``|C|^n`` nodes — ``Π_p
     |allowed(p)|`` under a restriction). This is the Fraction path;
     scans that only need the derived quantities should use
-    :func:`analyze_improvement_dag` instead. For a
-    :class:`RestrictedGame` (or an ``allowed=`` mask) the nodes are the
-    mask-valid configurations and the edges the *legal* better-response
-    moves.
+    :func:`analyze_improvement_dag` instead. On a masked game the nodes
+    are the mask-valid configurations and the edges the *legal*
+    better-response moves.
     """
-    base, restricted = as_restricted(game, allowed)
-    # RestrictedGame mirrors the Game scan surface, so one loop serves
-    # both: its all_configurations/better_response_moves are the
-    # mask-valid subsets in the same orders.
-    source = base if restricted is None else restricted
-    count = source.configuration_count()
+    count = game.configuration_count()
     if count > limit:
         raise InvalidModelError(
             f"improvement graph has {count} nodes, above the limit {limit}"
         )
     graph: ImprovementGraph = {}
-    for config in source.all_configurations():
+    for config in game.all_configurations():
         successors: List[Configuration] = []
-        for miner in base.miners:
-            for coin in source.better_response_moves(miner, config):
+        for miner in game.miners:
+            for coin in game.better_response_moves(miner, config):
                 successors.append(config.move(miner, coin))
         graph[config] = tuple(successors)
     return graph
@@ -243,12 +223,11 @@ def longest_improvement_path(graph: ImprovementGraph) -> int:
 
 
 def reachable_equilibria(
-    game: Union[Game, RestrictedGame],
+    game: Game,
     start: Configuration,
     *,
     limit: int = _SPACE_LIMIT,
     backend: str = "space",
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
 ) -> List[Configuration]:
     """All equilibria some improving path from *start* can reach.
 
@@ -257,12 +236,10 @@ def reachable_equilibria(
     successors restricted to nodes reachable from *start*; the space
     backend runs it over integer codes with the identical traversal
     order, so results — including list order — match the Fraction path.
-    For a :class:`RestrictedGame` (or an ``allowed=`` mask) only legal
-    moves are followed; a mask-invalid *start* raises.
+    On a masked game only legal moves are followed; a mask-invalid
+    *start* raises.
     """
-    base, restricted = as_restricted(game, allowed)
-    source = base if restricted is None else restricted
-    count = source.configuration_count()
+    count = game.configuration_count()
     if backend == "space":
         if count > limit:
             raise InvalidModelError(
@@ -270,7 +247,7 @@ def reachable_equilibria(
             )
         from repro.kernel.space import ConfigSpace
 
-        space = ConfigSpace(source, symmetry=False)
+        space = ConfigSpace(game, symmetry=False)
         return [
             space.config_of(code)
             for code in space.reachable_sink_codes(space.code_of(start))
@@ -283,16 +260,15 @@ def reachable_equilibria(
         raise InvalidModelError(
             f"reachability needs the improvement graph ({count} nodes > {limit})"
         )
-    if restricted is not None:
-        restricted.validate_configuration(start)
+    game.validate_configuration(start)
     frontier = [start]
     seen: Set[Configuration] = {start}
     sinks: List[Configuration] = []
     while frontier:
         config = frontier.pop()
         successors: List[Configuration] = []
-        for miner in base.miners:
-            for coin in source.better_response_moves(miner, config):
+        for miner in game.miners:
+            for coin in game.better_response_moves(miner, config):
                 successors.append(config.move(miner, coin))
         if not successors:
             sinks.append(config)

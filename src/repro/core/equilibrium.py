@@ -16,14 +16,28 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner, sorted_by_power
-from repro.core.restricted import RestrictedGame, as_restricted
 from repro.exceptions import InvalidModelError
+
+
+def _insertion_argmax(game: Game, miner: Miner, occupied: Dict[Coin, Fraction]) -> Coin:
+    """``argmax_c F(c)·m/(M_c+m)`` over *miner*'s allowed coins.
+
+    *occupied* maps coins to the power already placed on them (missing
+    coins are empty). ``max`` keeps the first of equal values, so ties
+    go to the earliest coin in game order.
+    """
+    rewards = game.rewards
+    power = miner.power
+    return max(
+        game.allowed_coins(miner),
+        key=lambda coin: rewards[coin] * power / (occupied.get(coin, 0) + power),
+    )
 
 
 def best_insertion_coin(
@@ -34,55 +48,56 @@ def best_insertion_coin(
     """``argmax_{c'∈C} F(c')·m_p/(M_{c'}(s)+m_p)`` over the partial state.
 
     *partial* is a configuration over a subset of the game's miners (or
-    ``None`` for the empty state). Ties are broken by coin order, which
-    makes the greedy construction deterministic.
+    ``None`` for the empty state). Only *miner*'s allowed coins are
+    candidates; ties are broken by coin order, which makes the greedy
+    construction deterministic.
     """
-    best_coin: Optional[Coin] = None
-    best_value: Optional[Fraction] = None
-    for coin in game.coins:
-        occupied = Fraction(0)
-        if partial is not None:
-            occupied = sum(
-                (other.power for other in partial.miners_on(coin)), Fraction(0)
-            )
-        value = game.rewards[coin] * miner.power / (occupied + miner.power)
-        if best_value is None or value > best_value:
-            best_value = value
-            best_coin = coin
-    assert best_coin is not None
-    return best_coin
+    occupied: Dict[Coin, Fraction] = {}
+    if partial is not None:
+        for other, coin in partial:
+            occupied[coin] = occupied.get(coin, 0) + other.power
+    return _insertion_argmax(game, miner, occupied)
+
+
+def _greedy_extend(
+    game: Game, assignment: Dict[Miner, Coin], miners: Iterable[Miner]
+) -> Configuration:
+    """Insert *miners* in order, each at its best coin given everyone
+    already in *assignment*; return the full configuration.
+
+    One running mass per coin makes each insertion O(|C|).
+    """
+    occupied: Dict[Coin, Fraction] = {}
+    for placed, coin in assignment.items():
+        occupied[coin] = occupied.get(coin, 0) + placed.power
+    for miner in miners:
+        coin = _insertion_argmax(game, miner, occupied)
+        assignment[miner] = coin
+        occupied[coin] = occupied.get(coin, 0) + miner.power
+    return Configuration.from_mapping(game.miners, assignment)
 
 
 def greedy_equilibrium(game: Game) -> Configuration:
     """A pure equilibrium built by the Appendix A construction.
 
     Miners are processed in decreasing power order; each picks its best
-    coin given the miners already placed. Claim 6 proves every placed
-    miner stays stable after each insertion, so the final configuration
-    is stable — for *any* ``Π``, ``C`` and ``F``.
+    allowed coin given the miners already placed. Claim 6 proves every
+    placed miner stays stable after each insertion, so the final
+    configuration is stable — for *any* ``Π``, ``C`` and ``F``. Under an
+    allowed-coin mask the claim needs miners with comparable options: a
+    miner whose only coins are crowded can join a coin whose earlier
+    occupant may mine an empty one, so check the result with
+    :meth:`Game.is_stable <repro.core.game.Game.is_stable>`.
     """
-    ordered = sorted_by_power(game.miners)
-    partial: Optional[Configuration] = None
-    placed: List[Miner] = []
-    choices: List[Coin] = []
-    for miner in ordered:
-        coin = best_insertion_coin(game, partial, miner)
-        placed.append(miner)
-        choices.append(coin)
-        partial = Configuration(placed, choices)
-    assert partial is not None
-    # Re-express over the game's own miner order.
-    assignment = {miner: coin for miner, coin in partial}
-    return Configuration.from_mapping(game.miners, assignment)
+    return _greedy_extend(game, {}, sorted_by_power(game.miners))
 
 
 def enumerate_equilibria(
-    game: Union[Game, RestrictedGame],
+    game: Game,
     *,
     limit: Optional[int] = None,
     backend: str = "space",
     symmetry: bool = True,
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
 ) -> List[Configuration]:
     """All pure equilibria of the game, by exhaustive search.
 
@@ -102,37 +117,26 @@ def enumerate_equilibria(
     and order — is identical to ``backend="exact"``, the original
     Fraction brute force over Configuration objects.
 
-    *game* may be a :class:`~repro.core.restricted.RestrictedGame` (or
-    a plain game plus an ``allowed=`` per-miner coin mask): equilibria
-    of the *restricted* game are then enumerated — the space backend
-    walks only mask-valid codes with per-miner digit alphabets, the
-    exact backend brute-forces
-    :meth:`RestrictedGame.all_configurations` — and miners are
-    symmetry-interchangeable only when power *and* allowed set match.
+    On a masked game the equilibria of the *restricted* game are
+    enumerated: both backends scan only mask-valid configurations, and
+    miners are symmetry-interchangeable only when power *and* allowed
+    set match.
     """
-    base, restricted = as_restricted(game, allowed)
-    # RestrictedGame mirrors the Game scan surface, so one loop serves
-    # both backends' brute force.
-    source = base if restricted is None else restricted
     if backend == "exact":
-        count = source.configuration_count()
+        count = game.configuration_count()
         if limit is not None and count > limit:
             raise InvalidModelError(
                 f"game has {count} configurations, above the scan limit {limit}; "
                 "enumeration is only for small games"
             )
-        return [
-            config
-            for config in source.all_configurations()
-            if source.is_stable(config)
-        ]
+        return [config for config in game.all_configurations() if game.is_stable(config)]
     if backend != "space":
         raise InvalidModelError(
             f"unknown enumeration backend {backend!r}; expected 'space' or 'exact'"
         )
     from repro.kernel.space import ConfigSpace
 
-    space = ConfigSpace(source, symmetry=symmetry)
+    space = ConfigSpace(game, symmetry=symmetry)
     scanned = space.orbit_count() if space.symmetry else space.size
     if limit is not None and scanned > limit:
         raise InvalidModelError(
@@ -144,26 +148,18 @@ def enumerate_equilibria(
     return space.equilibria(max_codes=limit)
 
 
-def iter_equilibria(
-    game: Union[Game, RestrictedGame],
-    *,
-    backend: str = "space",
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
-) -> Iterator[Configuration]:
+def iter_equilibria(game: Game, *, backend: str = "space") -> Iterator[Configuration]:
     """Lazily iterate pure equilibria (exhaustive scan order).
 
     The default ``backend="space"`` walks integer codes in the same
     product order as the Fraction scan (``backend="exact"``) but with
     incremental integer mass updates, yielding identical configurations
-    in identical order with none of the per-node allocation. Restricted
-    games (or an ``allowed=`` mask) restrict the walk to mask-valid
-    configurations, as in :func:`enumerate_equilibria`.
+    in identical order with none of the per-node allocation. A masked
+    game restricts the walk to mask-valid configurations.
     """
-    base, restricted = as_restricted(game, allowed)
-    source = base if restricted is None else restricted
     if backend == "exact":
-        for config in source.all_configurations():
-            if source.is_stable(config):
+        for config in game.all_configurations():
+            if game.is_stable(config):
                 yield config
         return
     if backend != "space":
@@ -172,7 +168,7 @@ def iter_equilibria(
         )
     from repro.kernel.space import ConfigSpace
 
-    yield from ConfigSpace(source, symmetry=False).iter_equilibria()
+    yield from ConfigSpace(game, symmetry=False).iter_equilibria()
 
 
 def two_distinct_equilibria(game: Game) -> Tuple[Configuration, Configuration]:
@@ -196,19 +192,10 @@ def two_distinct_equilibria(game: Game) -> Tuple[Configuration, Configuration]:
     c1, c2 = coins_by_reward[0], coins_by_reward[1]
     p1, p2 = ordered[0], ordered[1]
 
-    results: List[Configuration] = []
-    for seed_choices in ((c1, c2), (c2, c1)):
-        placed = [p1, p2]
-        choices = list(seed_choices)
-        partial = Configuration(placed, choices)
-        for miner in ordered[2:]:
-            coin = best_insertion_coin(game, partial, miner)
-            placed.append(miner)
-            choices.append(coin)
-            partial = Configuration(placed, choices)
-        assignment = {miner: coin for miner, coin in partial}
-        results.append(Configuration.from_mapping(game.miners, assignment))
-
+    results = [
+        _greedy_extend(game, {p1: seed_1, p2: seed_2}, ordered[2:])
+        for seed_1, seed_2 in ((c1, c2), (c2, c1))
+    ]
     first, second = results
     if first == second:
         raise InvalidModelError(

@@ -109,29 +109,18 @@ def random_game(
 
 
 def random_configuration(game: Game, seed: RngLike = None) -> Configuration:
-    """A uniformly random configuration of *game*."""
-    rng = make_rng(seed)
-    indices = rng.integers(0, len(game.coins), len(game.miners))
-    return Configuration(game.miners, [game.coins[int(i)] for i in indices])
+    """A uniformly random valid configuration of *game*.
 
-
-def random_restricted_configuration(game: Game, allowed, seed: RngLike = None) -> Configuration:
-    """A random configuration where each miner picks among its allowed coins.
-
-    ``allowed`` maps miners to coin subsets (any form accepted by
-    :func:`~repro.core.restricted.normalize_mask`); a trivial mask falls
-    back to :func:`random_configuration` — including its single
-    vectorized draw, so the two are interchangeable seed-for-seed when
-    the mask does not actually restrict anything.
+    Unmasked, one vectorized draw picks every miner's coin; on a masked
+    game each miner draws in turn among its allowed coins (game coin
+    order).
     """
-    from repro.core.restricted import normalize_mask
-
-    mask = normalize_mask(game, allowed)
-    if mask is None:
-        return random_configuration(game, seed=seed)
     rng = make_rng(seed)
+    if game.allowed is None:
+        indices = rng.integers(0, len(game.coins), len(game.miners))
+        return Configuration(game.miners, [game.coins[int(i)] for i in indices])
     choices = []
     for miner in game.miners:
-        options = mask[miner]
+        options = game.allowed_coins(miner)
         choices.append(options[int(rng.integers(0, len(options)))])
     return Configuration(game.miners, choices)

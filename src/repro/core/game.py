@@ -13,13 +13,23 @@ better-response step is *stable* (a pure Nash equilibrium).
 
 All payoff arithmetic is exact (:class:`fractions.Fraction`), so
 stability checks and the ordinal potential are tie-safe.
+
+A game may carry an *allowed-coin mask* — the asymmetric case the
+paper's Discussion raises, where a miner's hardware mines only a subset
+of the coins. The mask shrinks strategy sets and nothing else: payoffs
+stay the same, every better-response query scans only the querying
+miner's allowed coins, and a configuration is valid only when every
+miner sits on an allowed coin. Theorem 1 survives because a restriction
+only removes improvement edges.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from math import prod
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.coin import Coin, RewardFunction, make_coins
 from repro.core.configuration import Configuration
@@ -28,16 +38,29 @@ from repro._numeric import Number
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 
 
-class Game:
-    """An instance ``G_{Π,C,F}`` of the multi-coin mining game."""
+#: A per-miner allowed-coin mask as callers pass it.
+Mask = Mapping[Miner, Sequence[Coin]]
 
-    __slots__ = ("_miners", "_coins", "_rewards", "_miner_set", "_coin_set")
+
+class Game:
+    """An instance ``G_{Π,C,F}`` of the multi-coin mining game.
+
+    *allowed* optionally restricts miners to coin subsets. A miner
+    missing from the mapping is unrestricted; a listed miner must
+    belong to the game and keep at least one game coin, so a typo'd
+    mask raises instead of silently freezing a miner as "stable". A
+    mask that allows every coin to every miner normalizes to ``None``,
+    keeping unrestricted hot paths mask-free.
+    """
+
+    __slots__ = ("_miners", "_coins", "_rewards", "_miner_set", "_coin_set", "_allowed")
 
     def __init__(
         self,
         miners: Sequence[Miner],
         coins: Sequence[Coin],
         rewards: RewardFunction,
+        allowed: Optional[Mask] = None,
     ):
         if not miners:
             raise InvalidModelError("a game needs at least one miner")
@@ -59,6 +82,37 @@ class Game:
         self._rewards = rewards
         self._miner_set = frozenset(self._miners)
         self._coin_set = frozenset(self._coins)
+        self._allowed = self._normalize_mask(allowed)
+
+    def _normalize_mask(
+        self, allowed: Optional[Mask]
+    ) -> Optional[Dict[Miner, Tuple[Coin, ...]]]:
+        """Per-miner allowed coins in game coin order; ``None`` = all."""
+        if allowed is None:
+            return None
+        for miner, coins in allowed.items():
+            if miner not in self._miner_set:
+                raise InvalidModelError(
+                    f"allowed-coin mask names miner {miner.name!r} which is not "
+                    "in this game"
+                )
+            if not tuple(coins):
+                raise InvalidModelError(
+                    f"miner {miner.name!r} must be allowed at least one coin"
+                )
+            for coin in coins:
+                if coin not in self._coin_set:
+                    raise InvalidModelError(
+                        f"allowed-coin mask gives miner {miner.name!r} unknown "
+                        f"coin {coin.name!r}"
+                    )
+        mask: Dict[Miner, Tuple[Coin, ...]] = {}
+        for miner in self._miners:
+            listed = set(allowed.get(miner, self._coins))
+            mask[miner] = tuple(coin for coin in self._coins if coin in listed)
+        if all(len(coins) == len(self._coins) for coins in mask.values()):
+            return None
+        return mask
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -90,7 +144,15 @@ class Game:
         This is the primitive the reward design mechanism uses: each
         learning phase runs in ``G_{Π,C,H_i(s)}``.
         """
-        return Game(self._miners, self._coins, rewards)
+        return Game(self._miners, self._coins, rewards, self._allowed)
+
+    def with_allowed(self, allowed: Optional[Mask]) -> "Game":
+        """The same game with the allowed-coin mask *allowed*.
+
+        The new mask replaces any existing one; ``None`` lifts every
+        restriction.
+        """
+        return Game(self._miners, self._coins, self._rewards, allowed)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -107,6 +169,27 @@ class Game:
     @property
     def rewards(self) -> RewardFunction:
         return self._rewards
+
+    @property
+    def allowed(self) -> Optional[Mapping[Miner, Tuple[Coin, ...]]]:
+        """The normalized mask (every miner, game coin order), or ``None``.
+
+        A read-only view: derive a new mask with :meth:`with_allowed`.
+        """
+        return None if self._allowed is None else MappingProxyType(self._allowed)
+
+    def allowed_coins(self, miner: Miner) -> Tuple[Coin, ...]:
+        """The coins *miner* may mine, in game coin order."""
+        if self._allowed is None:
+            return self._coins
+        try:
+            return self._allowed[miner]
+        except KeyError:
+            raise InvalidModelError(f"miner {miner.name!r} is not in this game")
+
+    def is_allowed(self, miner: Miner, coin: Coin) -> bool:
+        """Whether *miner*'s hardware can mine *coin*."""
+        return coin in self.allowed_coins(miner)
 
     def miner_named(self, name: str) -> Miner:
         for miner in self._miners:
@@ -132,13 +215,19 @@ class Game:
     # ------------------------------------------------------------------
 
     def validate_configuration(self, config: Configuration) -> None:
-        """Raise unless *config* covers exactly this game's miners/coins."""
+        """Raise unless *config* covers exactly this game's miners/coins
+        and every miner sits on a coin it is allowed to mine."""
         if frozenset(config.miners) != self._miner_set:
             raise InvalidConfigurationError("configuration's miners do not match the game")
-        for _, coin in config:
+        for miner, coin in config:
             if coin not in self._coin_set:
                 raise InvalidConfigurationError(
                     f"configuration assigns unknown coin {coin.name!r}"
+                )
+            if self._allowed is not None and coin not in self._allowed[miner]:
+                raise InvalidConfigurationError(
+                    f"miner {miner.name!r} sits on {coin.name!r} which its "
+                    "hardware cannot mine"
                 )
 
     def configuration(self, coin_names: Sequence[str]) -> Configuration:
@@ -213,35 +302,36 @@ class Game:
     # ------------------------------------------------------------------
 
     def is_better_response(self, miner: Miner, coin: Coin, config: Configuration) -> bool:
-        """Whether moving *miner* to *coin* strictly improves its payoff."""
-        if config.coin_of(miner) == coin:
+        """Whether moving *miner* to allowed *coin* strictly improves its payoff."""
+        if config.coin_of(miner) == coin or not self.is_allowed(miner, coin):
             return False
         return self.payoff_after_move(miner, coin, config) > self.payoff(miner, config)
 
     def better_response_moves(self, miner: Miner, config: Configuration) -> Tuple[Coin, ...]:
-        """All coins to which *miner* has a better-response step in *config*."""
+        """All allowed coins to which *miner* has a better-response step."""
         current_payoff = self.payoff(miner, config)
         current_coin = config.coin_of(miner)
         return tuple(
             coin
-            for coin in self._coins
+            for coin in self.allowed_coins(miner)
             if coin != current_coin
             and self.payoff_after_move(miner, coin, config) > current_payoff
         )
 
     def best_response(self, miner: Miner, config: Configuration) -> Optional[Coin]:
-        """The payoff-maximizing improving move, or ``None`` if stable.
+        """The payoff-maximizing allowed improving move, or ``None``.
 
         Ties between equally good targets are broken by coin order in
-        the game (deterministic). Best responses are a *subset* of
-        better responses, so any result proved for arbitrary
-        better-response learning applies to best-response learning too.
+        the game (deterministic), whatever the mask. Best responses are
+        a *subset* of better responses, so any result proved for
+        arbitrary better-response learning applies to best-response
+        learning too.
         """
         current_payoff = self.payoff(miner, config)
         current_coin = config.coin_of(miner)
         best_coin: Optional[Coin] = None
         best_payoff = current_payoff
-        for coin in self._coins:
+        for coin in self.allowed_coins(miner):
             if coin == current_coin:
                 continue
             payoff = self.payoff_after_move(miner, coin, config)
@@ -294,7 +384,7 @@ class Game:
         current = config.coin_of(miner)
         current_reward = self._rewards[current]
         current_mass = powers[current]
-        for coin in self._coins:
+        for coin in self.allowed_coins(miner):
             if coin == current:
                 continue
             if self._rewards[coin] * current_mass > current_reward * (
@@ -315,7 +405,7 @@ class Game:
         current_mass = powers[current]
         return tuple(
             coin
-            for coin in self._coins
+            for coin in self.allowed_coins(miner)
             if coin != current
             and self._rewards[coin] * current_mass
             > current_reward * (powers[coin] + miner.power)
@@ -338,15 +428,29 @@ class Game:
     # ------------------------------------------------------------------
 
     def all_configurations(self) -> Iterator[Configuration]:
-        """Iterate over all ``|C|^n`` configurations (small games only)."""
-        for choices in itertools.product(self._coins, repeat=len(self._miners)):
+        """Iterate over every valid configuration (small games only).
+
+        Miner 0 is the most significant position and each miner's
+        choices run ascending in game coin order, so the scan order is
+        :class:`~repro.kernel.space.ConfigSpace`'s ascending-code order,
+        masked or not.
+        """
+        alphabets = [self.allowed_coins(miner) for miner in self._miners]
+        for choices in itertools.product(*alphabets):
             yield Configuration(self._miners, choices)
 
     def configuration_count(self) -> int:
-        return len(self._coins) ** len(self._miners)
+        """Number of valid configurations (``Π_p |allowed(p)|``)."""
+        return prod(len(self.allowed_coins(miner)) for miner in self._miners)
 
     def __repr__(self) -> str:
-        return (
+        text = (
             f"Game(n={len(self._miners)} miners, |C|={len(self._coins)} coins, "
             f"total_reward={self._rewards.total()})"
         )
+        if self._allowed is None:
+            return text
+        restricted = sum(
+            1 for coins in self._allowed.values() if len(coins) < len(self._coins)
+        )
+        return f"RestrictedGame({text}, {restricted}/{len(self._miners)} miners restricted)"

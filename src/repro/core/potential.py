@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner
 from repro.exceptions import InvalidModelError
-
-if TYPE_CHECKING:  # pragma: no cover — restricted imports this module
-    from repro.core.restricted import RestrictedGame
 
 #: One entry of ``list(s)``: the RPU of a coin paired with a stable
 #: tie-break key (the coin's index in the game's coin tuple).
@@ -166,10 +163,9 @@ def exact_potential_cycle_defect(
 
 
 def find_nonzero_four_cycle(
-    game: "Union[Game, RestrictedGame]",
+    game: Game,
     *,
     backend: str = "space",
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
 ) -> Optional[Tuple[Configuration, Miner, Coin, Miner, Coin, Fraction]]:
     """Search all 4-cycles for one with nonzero defect (small games only).
 
@@ -185,51 +181,34 @@ def find_nonzero_four_cycle(
     materialized and its exact Fraction defect recomputed at the
     boundary, so the result is identical to ``backend="exact"``.
 
-    *game* may be a :class:`~repro.core.restricted.RestrictedGame` (or
-    a plain game plus an ``allowed=`` per-miner coin mask): only
-    *legal* cycles are then scanned — mask-valid starts, each deviation
-    within the deviator's allowed set — deciding whether the
-    *restricted* game admits an exact potential on its reachable
-    strategy space. Payoffs (and hence defects) are the base game's.
+    On a masked game only *legal* cycles are scanned — mask-valid
+    starts, each deviation within the deviator's allowed set — deciding
+    whether the *restricted* game admits an exact potential on its
+    reachable strategy space.
     """
-    from repro.core.restricted import as_restricted
-
-    base, restricted = as_restricted(game, allowed)
     if backend == "space":
         from repro.kernel.space import ConfigSpace
 
-        space = ConfigSpace(
-            base if restricted is None else restricted, symmetry=False
-        )
+        space = ConfigSpace(game, symmetry=False)
         witness = space.four_cycle_witness()
         if witness is None:
             return None
         code, a, ja, b, jb = witness
         start = space.config_of(code)
-        miner_a, miner_b = base.miners[a], base.miners[b]
-        coin_a, coin_b = base.coins[ja], base.coins[jb]
-        defect = exact_potential_cycle_defect(base, start, miner_a, coin_a, miner_b, coin_b)
+        miner_a, miner_b = game.miners[a], game.miners[b]
+        coin_a, coin_b = game.coins[ja], game.coins[jb]
+        defect = exact_potential_cycle_defect(game, start, miner_a, coin_a, miner_b, coin_b)
         return (start, miner_a, coin_a, miner_b, coin_b, defect)
     if backend != "exact":
         raise InvalidModelError(
             f"unknown search backend {backend!r}; expected 'space' or 'exact'"
         )
-    miners = base.miners
-    starts = (
-        base.all_configurations()
-        if restricted is None
-        else restricted.all_configurations()
-    )
+    miners = game.miners
     # Per-miner deviation targets are constant across the scan.
     deviations: Mapping[Miner, Tuple[Coin, ...]] = {
-        miner: (
-            base.coins
-            if restricted is None
-            else restricted.allowed_in_coin_order(miner)
-        )
-        for miner in miners
+        miner: game.allowed_coins(miner) for miner in miners
     }
-    for start in starts:
+    for start in game.all_configurations():
         for miner_a, miner_b in itertools.combinations(miners, 2):
             for coin_a in deviations[miner_a]:
                 if coin_a == start.coin_of(miner_a):
@@ -238,7 +217,7 @@ def find_nonzero_four_cycle(
                     if coin_b == start.coin_of(miner_b):
                         continue
                     defect = exact_potential_cycle_defect(
-                        base, start, miner_a, coin_a, miner_b, coin_b
+                        game, start, miner_a, coin_a, miner_b, coin_b
                     )
                     if defect != 0:
                         return (start, miner_a, coin_a, miner_b, coin_b, defect)

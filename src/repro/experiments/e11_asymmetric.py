@@ -25,7 +25,9 @@ import numpy as np
 
 from repro.analysis.paths import analyze_improvement_dag
 from repro.core.configuration import Configuration
+from repro.core.equilibrium import greedy_equilibrium
 from repro.core.factories import random_configuration, random_game
+from repro.core.potential import compare_potential
 from repro.core.restricted import RestrictedGame
 from repro.experiments.common import ExperimentResult
 from repro.learning.engine import LearningEngine
@@ -124,8 +126,10 @@ def run(
             # Potential audit along the restricted path.
             for i in range(len(trajectory.configurations) - 1):
                 if (
-                    restricted.compare_potential(
-                        trajectory.configurations[i], trajectory.configurations[i + 1]
+                    compare_potential(
+                        restricted,
+                        trajectory.configurations[i],
+                        trajectory.configurations[i + 1],
                     )
                     >= 0
                 ):
@@ -136,7 +140,7 @@ def run(
             )
             free_engine_steps.append(free.length)
 
-        greedy = restricted.greedy_equilibrium()
+        greedy = greedy_equilibrium(restricted)
         stable = restricted.is_stable(greedy)
         greedy_ok += int(stable)
 

@@ -95,8 +95,11 @@ def _fraction_from_str(text: str, *, context: str) -> Fraction:
 
 
 def game_to_dict(game: Game) -> Dict[str, Any]:
-    """A JSON-ready dict for *game* (exact rationals as strings)."""
-    return {
+    """A JSON-ready dict for *game* (exact rationals as strings).
+
+    A masked game adds ``"allowed"``: miner name → allowed coin names.
+    """
+    payload: Dict[str, Any] = {
         "format": GAME_FORMAT,
         "version": _VERSION,
         "miners": [
@@ -108,6 +111,12 @@ def game_to_dict(game: Game) -> Dict[str, Any]:
             coin.name: _fraction_to_str(game.rewards[coin]) for coin in game.coins
         },
     }
+    if game.allowed is not None:
+        payload["allowed"] = {
+            miner.name: [coin.name for coin in coins]
+            for miner, coins in game.allowed.items()
+        }
+    return payload
 
 
 def game_from_dict(payload: Dict[str, Any]) -> Game:
@@ -131,7 +140,15 @@ def game_from_dict(payload: Dict[str, Any]) -> Game:
             for coin in coins
         }
     )
-    return Game(miners, coins, rewards)
+    game = Game(miners, coins, rewards)
+    if "allowed" not in payload:
+        return game
+    return game.with_allowed(
+        {
+            game.miner_named(name): [game.coin_named(coin) for coin in names]
+            for name, names in payload["allowed"].items()
+        }
+    )
 
 
 def configuration_to_dict(config: Configuration) -> Dict[str, Any]:

@@ -312,7 +312,7 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
     records away and returns a one-element list holding a partial
     :class:`CellStats` (merged across chunks by the caller).
     """
-    from repro.core.factories import random_configuration, random_restricted_configuration
+    from repro.core.factories import random_configuration
     from repro.learning.engine import LearningEngine
 
     (
@@ -321,7 +321,6 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
         scheduler,
         backend,
         max_steps,
-        allowed,
         first_index,
         seed_pairs,
         stream,
@@ -341,15 +340,8 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
     records: List[RunRecord] = []
     assert engine.policy is not None and engine.scheduler is not None
     for start_seed, run_seed in seed_pairs:
-        if allowed is None:
-            start = random_configuration(game, seed=np.random.default_rng(start_seed))
-        else:
-            start = random_restricted_configuration(
-                game, allowed, seed=np.random.default_rng(start_seed)
-            )
-        trajectory = engine.run(
-            game, start, seed=np.random.default_rng(run_seed), allowed=allowed
-        )
+        start = random_configuration(game, seed=np.random.default_rng(start_seed))
+        trajectory = engine.run(game, start, seed=np.random.default_rng(run_seed))
         final = trajectory.final
         records.append(
             (
@@ -374,7 +366,6 @@ def build_vector_jobs(
     policy=None,
     scheduler=None,
     seed_pairs: Sequence[Tuple[Any, Any]],
-    allowed=None,
     max_steps: Optional[int] = None,
     backend: str = "fast",
     kernel=None,
@@ -382,15 +373,14 @@ def build_vector_jobs(
     """Map one batch cell onto tensor-kernel jobs; returns ``(jobs, kernel)``.
 
     Start configurations are drawn exactly as :func:`_run_chunk` draws
-    them (one generator per start stream, mask-aware when ``allowed`` is
-    set), and each job carries the generator of its run stream — so the
+    them (one generator per start stream, mask-aware on a masked game),
+    and each job carries the generator of its run stream — so the
     population result is bit-identical to the scalar executors. Raises
     ``ValueError`` when the cell is not vectorizable (non-``"fast"``
     backend, or a custom policy/scheduler subclass, which must keep its
     override and therefore the scalar loop).
     """
-    from repro.core.factories import random_restricted_configuration
-    from repro.core.restricted import normalize_mask
+    from repro.core.factories import random_configuration
     from repro.kernel.core import KernelGame
     from repro.kernel.tensor import TrajectoryJob, policy_kind, scheduler_kind
     from repro.learning.engine import DEFAULT_MAX_STEPS
@@ -412,25 +402,17 @@ def build_vector_jobs(
         )
     if kernel is None:
         kernel = KernelGame(game)
-    mask = normalize_mask(game, allowed)
-    allowed_idx = None
-    if mask is not None:
-        coin_index = kernel.coin_index
-        allowed_idx = tuple(
-            tuple(coin_index[coin] for coin in mask[miner]) for miner in game.miners
-        )
     budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     n_miners, n_coins = kernel.n_miners, kernel.n_coins
     jobs = []
     for start_seed, run_seed in seed_pairs:
         start_gen = np.random.default_rng(start_seed)
-        if mask is None:
+        if kernel.allowed is None:
             # Same single draw as random_configuration, minus the
             # Configuration round-trip (kernel coin order is game order).
             assign = [int(j) for j in start_gen.integers(0, n_coins, n_miners)]
         else:
-            start = random_restricted_configuration(game, mask, seed=start_gen)
-            assign = kernel.assignment_of(start)
+            assign = kernel.assignment_of(random_configuration(game, seed=start_gen))
         jobs.append(
             TrajectoryJob(
                 kernel=kernel,
@@ -439,7 +421,6 @@ def build_vector_jobs(
                 policy=kinds[0],
                 scheduler=scheduler_code,
                 epsilon=kinds[1],
-                allowed=allowed_idx,
                 max_steps=budget,
             )
         )
@@ -487,16 +468,14 @@ class BatchRunner(PooledRunner):
         policy=None,
         scheduler=None,
         seed=None,
-        allowed=None,
         stream: bool = False,
     ) -> Any:
         """*runs* trajectories from random starts, in run-index order.
 
         Stream ``2i`` draws run *i*'s start, stream ``2i+1`` drives its
-        engine, all spawned from ``seed_sequence(seed)``.
-        ``allowed`` restricts miners to coin subsets (a restricted
-        game's mask); starts are then drawn mask-valid, identically
-        across every executor mode. With ``stream=True`` the result is
+        engine, all spawned from ``seed_sequence(seed)``. A masked
+        game's starts are drawn mask-valid, identically across every
+        executor mode. With ``stream=True`` the result is
         one :class:`CellStats` aggregate instead of a summary list.
         """
         if runs < 1:
@@ -511,7 +490,6 @@ class BatchRunner(PooledRunner):
                 scheduler,
                 self.backend,
                 self.max_steps,
-                allowed,
                 first_index,
                 pairs,
                 stream,

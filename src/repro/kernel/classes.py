@@ -58,11 +58,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro._numeric import Number, multinomial, to_positive_fraction
@@ -70,7 +68,6 @@ from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner
-from repro.core.restricted import RestrictedGame, normalize_mask
 from repro.exceptions import (
     ConvergenceError,
     InvalidConfigurationError,
@@ -135,8 +132,8 @@ def _compositions(total: int, slots: int) -> Iterator[Tuple[int, ...]]:
 class ClassGame:
     """A game over miner *classes*: (power, alphabet, population) triples.
 
-    Construct with :meth:`from_game` (compresses a :class:`Game` or
-    :class:`RestrictedGame` — classes are exactly the symmetry blocks of
+    Construct with :meth:`from_game` (compresses a :class:`Game`, masked
+    or not — classes are exactly the symmetry blocks of
     :class:`~repro.kernel.space.ConfigSpace`, in first-miner order) or
     :meth:`from_spec` (directly from ``[(power, allowed, count), ...]``
     with populations up to 10⁶ and beyond — no per-miner objects are
@@ -227,12 +224,7 @@ class ClassGame:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_game(
-        cls,
-        game_or_restricted: Union[Game, RestrictedGame],
-        *,
-        allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
-    ) -> "ClassGame":
+    def from_game(cls, game: Game) -> "ClassGame":
         """Compress a per-miner game into its (power, alphabet) classes.
 
         Classes are exactly the symmetry blocks of
@@ -241,26 +233,8 @@ class ClassGame:
         miner — so class count matrices and canonical orbit
         representatives are two encodings of the same objects.
         """
-        if isinstance(game_or_restricted, RestrictedGame):
-            if allowed is not None:
-                raise InvalidModelError(
-                    "pass either a RestrictedGame or an allowed= mask, not both"
-                )
-            allowed = game_or_restricted.allowed_map()
-            game = game_or_restricted.game
-        else:
-            game = game_or_restricted
         kernel = KernelGame(game)
-        mask = normalize_mask(game, allowed)
-        full = tuple(range(kernel.n_coins))
-        if mask is None:
-            miner_alphabets: Tuple[Tuple[int, ...], ...] = (full,) * kernel.n_miners
-        else:
-            coin_index = kernel.coin_index
-            miner_alphabets = tuple(
-                tuple(coin_index[coin] for coin in mask[miner])
-                for miner in game.miners
-            )
+        miner_alphabets = kernel.alphabets
         blocks: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         for i, power in enumerate(kernel.powers):
             blocks.setdefault((power, miner_alphabets[i]), []).append(i)
@@ -1015,16 +989,10 @@ class ClassView(KernelView):
         game: Game,
         initial: Configuration,
         *,
-        allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
         kernel: Optional[KernelGame] = None,
     ):
-        super().__init__(game, initial, allowed=allowed, kernel=kernel)
-        full = tuple(range(self.kernel.n_coins))
-        miner_alphabets = (
-            (full,) * self.kernel.n_miners
-            if self._allowed_idx is None
-            else self._allowed_idx
-        )
+        super().__init__(game, initial, kernel=kernel)
+        miner_alphabets = self.kernel.alphabets
         blocks: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         class_of: List[int] = []
         powers: List[int] = []

@@ -65,7 +65,10 @@ class KernelGame:
         incrementally by the engines.
 
     All index-level predicates reproduce the Fraction core's decisions
-    exactly, including iteration order and name tie-breaks.
+    exactly, including iteration order and name tie-breaks. A masked
+    game's allowed-coin sets are derived once into ``alphabets`` (the
+    ascending coin indices each miner may sit on) and every scan runs
+    over them; ``allowed`` is the same tuple, or ``None`` unmasked.
     """
 
     __slots__ = (
@@ -79,6 +82,8 @@ class KernelGame:
         "reward_fractions",
         "n_miners",
         "n_coins",
+        "allowed",
+        "alphabets",
     )
 
     def __init__(self, game: Game):
@@ -94,6 +99,19 @@ class KernelGame:
         self.reward_fractions: Tuple[Fraction, ...] = tuple(game.rewards[coin] for coin in coins)
         self.n_miners = len(miners)
         self.n_coins = len(coins)
+        mask = game.allowed
+        self.allowed: Optional[Tuple[Tuple[int, ...], ...]] = (
+            None
+            if mask is None
+            else tuple(
+                tuple(self.coin_index[coin] for coin in mask[miner]) for miner in miners
+            )
+        )
+        self.alphabets: Tuple[Tuple[int, ...], ...] = (
+            (tuple(range(self.n_coins)),) * self.n_miners
+            if self.allowed is None
+            else self.allowed
+        )
 
     # ------------------------------------------------------------------
     # State construction
@@ -125,97 +143,65 @@ class KernelGame:
     # Index-level better-response structure (the hot path)
     # ------------------------------------------------------------------
 
-    def better_moves(
-        self,
-        i: int,
-        assign: Sequence[int],
-        mass: Sequence[int],
-        within: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Improving coin indices for miner *i*, in coin order.
-
-        *within* restricts the candidate coins (ascending indices —
-        the restricted-game mask); ``None`` means all coins.
-        """
+    def better_moves(self, i: int, assign: Sequence[int], mass: Sequence[int]) -> List[int]:
+        """Improving allowed coin indices for miner *i*, in coin order."""
         cur = assign[i]
         reward_cur = self.rewards[cur]
         mass_cur = mass[cur]
         power = self.powers[i]
         rewards = self.rewards
-        candidates = range(self.n_coins) if within is None else within
         return [
             j
-            for j in candidates
+            for j in self.alphabets[i]
             if j != cur and rewards[j] * mass_cur > reward_cur * (mass[j] + power)
         ]
 
-    def unstable(
-        self,
-        assign: Sequence[int],
-        mass: Sequence[int],
-        allowed: Optional[Sequence[Sequence[int]]] = None,
-    ) -> List[int]:
-        """Indices of miners with at least one improving move, in order.
-
-        *allowed* is a per-miner candidate-coin mask (``allowed[i]`` in
-        ascending index order); ``None`` means unrestricted.
-        """
+    def unstable(self, assign: Sequence[int], mass: Sequence[int]) -> List[int]:
+        """Indices of miners with at least one improving move, in order."""
         rewards = self.rewards
         powers = self.powers
+        alphabets = self.alphabets
         result = []
         for i in range(self.n_miners):
             cur = assign[i]
             reward_cur = rewards[cur]
             mass_cur = mass[cur]
             power = powers[i]
-            candidates = range(self.n_coins) if allowed is None else allowed[i]
-            for j in candidates:
+            for j in alphabets[i]:
                 if j != cur and rewards[j] * mass_cur > reward_cur * (mass[j] + power):
                     result.append(i)
                     break
         return result
 
-    def stable_index(
-        self,
-        assign: Sequence[int],
-        mass: Sequence[int],
-        allowed: Optional[Sequence[Sequence[int]]] = None,
-    ) -> bool:
+    def stable_index(self, assign: Sequence[int], mass: Sequence[int]) -> bool:
         """Early-exit stability: no miner has an improving move.
 
         The predicate twin of :meth:`unstable` — it returns on the
         first improving move found instead of materializing the list,
         which is what the enumeration engine's per-node checks want.
-        *allowed* is the per-miner candidate-coin mask (``allowed[i]``
-        in ascending index order); ``None`` means unrestricted.
         """
         rewards = self.rewards
         powers = self.powers
+        alphabets = self.alphabets
         for i in range(self.n_miners):
             cur = assign[i]
             reward_cur = rewards[cur]
             mass_cur = mass[cur]
             power = powers[i]
-            candidates = range(self.n_coins) if allowed is None else allowed[i]
-            for j in candidates:
+            for j in alphabets[i]:
                 if j != cur and rewards[j] * mass_cur > reward_cur * (mass[j] + power):
                     return False
         return True
 
     def best_response_idx(
-        self,
-        i: int,
-        assign: Sequence[int],
-        mass: Sequence[int],
-        within: Optional[Sequence[int]] = None,
+        self, i: int, assign: Sequence[int], mass: Sequence[int]
     ) -> Optional[int]:
-        """The payoff-maximizing improving coin index, or ``None``.
+        """The payoff-maximizing allowed improving coin index, or ``None``.
 
-        Mirrors :meth:`repro.core.game.Game.best_response`: scan coins
-        in order, strict improvement over the best seen so far, start
-        from the current payoff — so ties resolve to the earliest coin,
-        exactly like the Fraction core. *within* restricts the scanned
-        coins (ascending indices).
+        Mirrors :meth:`repro.core.game.Game.best_response`: scan allowed
+        coins in order, strict improvement over the best seen so far,
+        start from the current payoff — so ties resolve to the earliest
+        coin, exactly like the Fraction core.
         """
         cur = assign[i]
         power = self.powers[i]
@@ -225,8 +211,7 @@ class KernelGame:
         best_reward = rewards[cur]
         best_den = mass[cur]
         best: Optional[int] = None
-        candidates = range(self.n_coins) if within is None else within
-        for j in candidates:
+        for j in self.alphabets[i]:
             if j == cur:
                 continue
             den = mass[j] + power

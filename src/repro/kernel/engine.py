@@ -11,22 +11,20 @@ coin (O(1) update per :meth:`~KernelView.apply`) — and answers every
 evaluation query through :class:`KernelGame`'s integer
 cross-multiplication. Decisions are bit-for-bit the Fraction core's,
 so *any* policy or scheduler (standard or custom subclass) runs on the
-fast backend with identical trajectories and RNG draws. An optional
-allowed-coin mask restricts the candidate moves; that is how
-:class:`~repro.learning.engine.LearningEngine` runs a
-:class:`~repro.core.restricted.RestrictedGame` on this backend.
+fast backend with identical trajectories and RNG draws. A masked
+game's allowed-coin sets restrict the candidate moves through the
+kernel's per-miner alphabets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner
-from repro.core.restricted import normalize_mask
 from repro.kernel.core import KernelGame
 from repro.learning.view import GameView
 
@@ -55,7 +53,6 @@ class KernelView(GameView):
         "kernel",
         "assign",
         "mass",
-        "_allowed_idx",
         "_slot_of",
         "_choices",
         "_config_miners",
@@ -67,21 +64,12 @@ class KernelView(GameView):
         game: Game,
         initial: Configuration,
         *,
-        allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
         kernel: Optional[KernelGame] = None,
     ):
         self.game = game
         self.kernel = kernel if kernel is not None else KernelGame(game)
         self.assign: List[int] = self.kernel.assignment_of(initial)
         self.mass: List[int] = self.kernel.mass_of(self.assign)
-        mask = normalize_mask(game, allowed)
-        if mask is None:
-            self._allowed_idx: Optional[Tuple[Tuple[int, ...], ...]] = None
-        else:
-            coin_index = self.kernel.coin_index
-            self._allowed_idx = tuple(
-                tuple(coin_index[coin] for coin in mask[miner]) for miner in game.miners
-            )
         # Choice slots aligned with the *initial* configuration's miner
         # order so materialized configurations compare equal to the
         # exact backend's (Configuration equality is order-strict).
@@ -95,17 +83,8 @@ class KernelView(GameView):
 
     # -- structure -----------------------------------------------------
 
-    def allowed_coins(self, miner: Miner) -> Tuple[Coin, ...]:
-        if self._allowed_idx is None:
-            return self.game.coins
-        coins = self.game.coins
-        return tuple(coins[j] for j in self._allowed_idx[self.kernel.miner_index[miner]])
-
     def coin_of(self, miner: Miner) -> Coin:
         return self.game.coins[self.assign[self.kernel.miner_index[miner]]]
-
-    def _within(self, i: int) -> Optional[Tuple[int, ...]]:
-        return None if self._allowed_idx is None else self._allowed_idx[i]
 
     # -- evaluation ----------------------------------------------------
 
@@ -124,21 +103,21 @@ class KernelView(GameView):
     def improving_moves(self, miner: Miner) -> Tuple[Coin, ...]:
         i = self.kernel.miner_index[miner]
         coins = self.game.coins
-        moves = self.kernel.better_moves(i, self.assign, self.mass, self._within(i))
+        moves = self.kernel.better_moves(i, self.assign, self.mass)
         return tuple(coins[j] for j in moves)
 
     def best_response(self, miner: Miner) -> Optional[Coin]:
         i = self.kernel.miner_index[miner]
-        j = self.kernel.best_response_idx(i, self.assign, self.mass, self._within(i))
+        j = self.kernel.best_response_idx(i, self.assign, self.mass)
         return None if j is None else self.game.coins[j]
 
     def unstable_miners(self) -> Tuple[Miner, ...]:
         miners = self.game.miners
-        unstable = self.kernel.unstable(self.assign, self.mass, self._allowed_idx)
+        unstable = self.kernel.unstable(self.assign, self.mass)
         return tuple(miners[i] for i in unstable)
 
     def is_stable(self) -> bool:
-        return self.kernel.stable_index(self.assign, self.mass, self._allowed_idx)
+        return self.kernel.stable_index(self.assign, self.mass)
 
     # -- selection helpers ---------------------------------------------
 

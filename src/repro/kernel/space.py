@@ -26,15 +26,14 @@ Fraction comparisons. :class:`ConfigSpace` removes all of that:
   ``|C|^n`` to ``Π_b C(|b|+|A_b|-1, |A_b|-1)`` over blocks with
   alphabet ``A_b``.
 
-The engine is **mask-aware**: a per-miner *allowed-coin* mask (the
-asymmetric case of :class:`~repro.core.restricted.RestrictedGame` —
-hardware that can only mine a subset of coins) turns each miner's digit
-into its own **alphabet** of ascending coin indices. The Gray-code walk
-and the product-order odometer then iterate only mask-valid
-assignments (the walk runs over digit *positions*, so the O(1)
-incremental mass/code update survives arbitrary alphabets), stability
-and successor checks consult the mask through the kernel's ``allowed``
-candidate lists, and symmetry reduction keys its blocks on
+The engine is **mask-aware**: a masked game's per-miner *allowed-coin*
+sets (the paper's asymmetric case — hardware that can only mine a
+subset of coins) turn each miner's digit into its own **alphabet** of
+ascending coin indices. The Gray-code walk and the product-order
+odometer then iterate only mask-valid assignments (the walk runs over
+digit *positions*, so the O(1) incremental mass/code update survives
+arbitrary alphabets), stability and successor checks scan the
+kernel's per-miner ``alphabets``, and symmetry reduction keys its blocks on
 (power, alphabet) — permuting two miners is a better-response-graph
 automorphism only if both their powers *and* their allowed sets match,
 which keeps the orbit-quotient DAG analysis sound under restriction.
@@ -57,7 +56,6 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -65,11 +63,8 @@ from typing import (
 )
 
 from repro._numeric import multinomial
-from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
-from repro.core.miner import Miner
-from repro.core.restricted import RestrictedGame, normalize_mask
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.kernel.core import KernelGame
 from repro.obs.recorder import get_recorder
@@ -151,29 +146,18 @@ class ConfigSpace:
     ``mass`` list (scaled coin power), both mutated in place by the
     walk generators — callers must copy anything they keep.
 
-    *allowed* restricts each miner to a subset of coins (the
-    :class:`~repro.core.restricted.RestrictedGame` mask; miners missing
-    from the mapping are unrestricted) — a :class:`RestrictedGame` may
-    also be passed directly as the first argument. Codes remain
-    full-space base-``|C|`` codes, but the walks visit only mask-valid
-    assignments, ``size`` counts only those, and all stability /
-    successor / cycle queries consult the mask.
+    On a masked game codes remain full-space base-``|C|`` codes, but
+    the walks visit only mask-valid assignments, ``size`` counts only
+    those, and all stability / successor / cycle queries consult the
+    mask.
     """
 
     def __init__(
         self,
-        game_or_kernel: Union[Game, KernelGame, RestrictedGame],
+        game_or_kernel: Union[Game, KernelGame],
         *,
         symmetry: bool = True,
-        allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
     ):
-        if isinstance(game_or_kernel, RestrictedGame):
-            if allowed is not None:
-                raise InvalidModelError(
-                    "pass either a RestrictedGame or an allowed= mask, not both"
-                )
-            allowed = game_or_kernel.allowed_map()
-            game_or_kernel = game_or_kernel.game
         kernel = (
             game_or_kernel
             if isinstance(game_or_kernel, KernelGame)
@@ -189,23 +173,16 @@ class ConfigSpace:
             self.n_coins ** (self.n_miners - 1 - i) for i in range(self.n_miners)
         ]
         # Per-miner digit alphabets: the ascending coin indices each
-        # miner may sit on. A trivial mask (everything allowed)
-        # normalizes to None, so the unrestricted paths below stay
-        # byte-for-byte the unmasked code.
-        mask = normalize_mask(self.game, allowed)
-        if mask is None:
-            self._allowed_idx: Optional[Tuple[Tuple[int, ...], ...]] = None
-            full = tuple(range(self.n_coins))
-            self._alphabets: Tuple[Tuple[int, ...], ...] = (full,) * self.n_miners
-            self._allowed_sets: Optional[Tuple[FrozenSet[int], ...]] = None
-        else:
-            coin_index = kernel.coin_index
-            self._allowed_idx = tuple(
-                tuple(coin_index[coin] for coin in mask[miner])
-                for miner in self.game.miners
-            )
-            self._alphabets = self._allowed_idx
-            self._allowed_sets = tuple(frozenset(a) for a in self._allowed_idx)
+        # miner may sit on. An unmasked game has no per-miner sets, so
+        # the unrestricted paths below stay byte-for-byte the unmasked
+        # code.
+        self._allowed_idx = kernel.allowed
+        self._alphabets = kernel.alphabets
+        self._allowed_sets: Optional[Tuple[FrozenSet[int], ...]] = (
+            None
+            if self._allowed_idx is None
+            else tuple(frozenset(a) for a in self._allowed_idx)
+        )
         self.masked: bool = self._allowed_idx is not None
         size = 1
         for alphabet in self._alphabets:
@@ -275,7 +252,7 @@ class ConfigSpace:
         return all(assign[i] in sets[i] for i in range(self.n_miners))
 
     def _require_valid(self, assign: Sequence[int]) -> None:
-        # Same exception type as RestrictedGame.validate_configuration,
+        # Same exception type as Game.validate_configuration,
         # so space and exact backends fail identically on bad starts.
         if self._allowed_sets is None:
             return
@@ -553,7 +530,7 @@ class ConfigSpace:
         of the stability cross-multiplication, passing the mask's
         candidate lists (``None`` when unrestricted).
         """
-        return self.kernel.stable_index(assign, mass, self._allowed_idx)
+        return self.kernel.stable_index(assign, mass)
 
     def successor_codes(
         self, code: int, assign: Sequence[int], mass: Sequence[int]

@@ -57,11 +57,10 @@ coin-name order for minimal-gain/max-rpu, power-then-name order for the
 largest/smallest-first schedulers). ``tests/test_tensor_parity.py``
 holds the wall.
 
-Restricted games ride along: a job's ``allowed`` mask (per-miner
-ascending coin indices, the :class:`~repro.kernel.engine.KernelView`
-``_allowed_idx`` shape) becomes one boolean ``(games × miners × coins)``
-tensor; restricted buckets gather each miner's table row and mask it
-before reducing.
+Masked games ride along: a job kernel's ``allowed`` alphabets (per-miner
+ascending coin indices, see :class:`~repro.kernel.core.KernelGame`)
+become one boolean ``(games × miners × coins)`` tensor; restricted
+buckets gather each miner's table row and mask it before reducing.
 """
 
 from __future__ import annotations
@@ -206,8 +205,8 @@ class TrajectoryJob:
     stepper draws from it exactly as the scalar stepper would.
     ``policy``/``scheduler`` are kind codes (:data:`VECTOR_POLICIES` /
     :data:`VECTOR_SCHEDULERS`); map strategy *objects* with
-    :func:`policy_kind` / :func:`scheduler_kind`. ``allowed`` is the
-    per-miner ascending coin-index mask of a restricted game, or None.
+    :func:`policy_kind` / :func:`scheduler_kind`. A masked game's
+    allowed coins come from ``kernel.allowed``.
     """
 
     kernel: KernelGame
@@ -216,7 +215,6 @@ class TrajectoryJob:
     policy: str = "random"
     scheduler: str = "uniform"
     epsilon: float = 0.0
-    allowed: Optional[Tuple[Tuple[int, ...], ...]] = None
     max_steps: int = 1_000_000
     raise_on_budget: bool = True
 
@@ -298,13 +296,7 @@ def _run_scalar_job(job: TrajectoryJob) -> TrajectoryOutcome:
     game = job.kernel.game
     coins = game.coins
     config = Configuration(game.miners, [coins[int(j)] for j in job.assign])
-    allowed = None
-    if job.allowed is not None:
-        allowed = {
-            miner: tuple(coins[j] for j in job.allowed[i])
-            for i, miner in enumerate(game.miners)
-        }
-    view = KernelView(game, config, allowed=allowed, kernel=job.kernel)
+    view = KernelView(game, config, kernel=job.kernel)
     trajectory = run_better_response(
         view,
         _make_policy(job.policy, job.epsilon),
@@ -603,13 +595,13 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     owner = np.arange(total)
 
     allowed_m = None
-    if any(job.allowed is not None for job in jobs):
+    if any(job.kernel.allowed is not None for job in jobs):
         allowed_m = np.ones((total, n, k), dtype=bool)
         for g, job in enumerate(jobs):
-            if job.allowed is None:
+            if job.kernel.allowed is None:
                 continue
             allowed_m[g] = False
-            for i, coins in enumerate(job.allowed):
+            for i, coins in enumerate(job.kernel.allowed):
                 allowed_m[g, i, list(coins)] = True
 
     cursor = np.zeros(total, dtype=np.int64) if sch == "round-robin" else None
@@ -752,15 +744,11 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
 # ----------------------------------------------------------------------
 
 
-def stable_mask(
-    kernel: KernelGame,
-    assigns,
-    allowed: Optional[Tuple[Tuple[int, ...], ...]] = None,
-) -> np.ndarray:
+def stable_mask(kernel: KernelGame, assigns) -> np.ndarray:
     """One stability verdict per row of *assigns* (``(G, n)`` int array).
 
-    The batched twin of :meth:`KernelGame.stable_index`, lane-dispatched
-    like the trajectory stepper.
+    The batched twin of :meth:`KernelGame.stable_index` (masked games
+    included), lane-dispatched like the trajectory stepper.
     """
     assigns = np.asarray(assigns, dtype=np.int64)
     if assigns.ndim != 2 or assigns.shape[1] != kernel.n_miners:
@@ -769,11 +757,10 @@ def stable_mask(
         )
     lane = kernel_lane(kernel)
     if lane == "exact":
-        allowed_seq = list(allowed) if allowed is not None else None
         verdicts = []
         for row in assigns:
             assign = [int(c) for c in row]
-            verdicts.append(kernel.stable_index(assign, kernel.mass_of(assign), allowed_seq))
+            verdicts.append(kernel.stable_index(assign, kernel.mass_of(assign)))
         return np.array(verdicts, dtype=bool)
     G = assigns.shape[0]
     n, k = kernel.n_miners, kernel.n_coins
@@ -782,9 +769,9 @@ def stable_mask(
     mass = np.zeros((G, k), dtype=np.int64)
     np.add.at(mass, (np.arange(G)[:, None], assigns), powers)
     allowed_m = None
-    if allowed is not None:
+    if kernel.allowed is not None:
         row_mask = np.zeros((n, k), dtype=bool)
-        for i, coins in enumerate(allowed):
+        for i, coins in enumerate(kernel.allowed):
             row_mask[i, list(coins)] = True
         allowed_m = np.broadcast_to(row_mask, (G, n, k))
     f32 = _f32_aux(powers, rewards, mass, lane)

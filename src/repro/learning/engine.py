@@ -22,23 +22,22 @@ The ``backend`` knob selects which view drives it:
     :class:`~repro.learning.view.ExactView` — the original
     :class:`fractions.Fraction` arithmetic. Kept for audits.
 
-Restricted games (:meth:`LearningEngine.run` with ``allowed=``), the
-simultaneous dynamic and the noisy sampled learner all run over the
-same views, so the restriction mask, the integer fast path and
-incremental state maintenance exist in one place.
+Masked (restricted) games, the simultaneous dynamic and the noisy
+sampled learner all run over the same views, so the allowed-coin mask,
+the integer fast path and incremental state maintenance exist in one
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.game import Game
-from repro.core.restricted import RestrictedGame, as_restricted
 from repro.exceptions import ConvergenceError
 from repro.obs.recorder import get_recorder
 from repro.learning.policies import BetterResponsePolicy, RandomImprovingPolicy
@@ -210,30 +209,25 @@ class LearningEngine:
 
     def run(
         self,
-        game: Union[Game, RestrictedGame],
+        game: Game,
         initial: Configuration,
         *,
         seed: RngLike = None,
-        allowed=None,
     ) -> Trajectory:
         """Run better-response learning from *initial* to convergence.
 
         Returns the full :class:`Trajectory`. Raises
         :class:`ConvergenceError` if the budget is exhausted and
-        ``raise_on_budget`` is set. *game* may be a
-        :class:`~repro.core.restricted.RestrictedGame`, or ``allowed``
-        may restrict each miner to a subset of coins (same contract as
-        :func:`~repro.core.restricted.as_restricted`); *initial* must
-        then sit on allowed coins, else ``InvalidConfigurationError``.
+        ``raise_on_budget`` is set. On a masked game every move stays
+        within the mover's allowed coins, and *initial* must sit on
+        allowed coins, else ``InvalidConfigurationError``.
         """
-        base, restricted = as_restricted(game, allowed)
-        (base if restricted is None else restricted).validate_configuration(initial)
-        mask = None if restricted is None else restricted.allowed_map()
+        game.validate_configuration(initial)
         rng = make_rng(seed)
         policy = self.policy
         scheduler = self.scheduler
         assert policy is not None and scheduler is not None  # set in __post_init__
-        view = make_view(base, initial, backend=self.backend, allowed=mask)
+        view = make_view(game, initial, backend=self.backend)
         return run_better_response(
             view,
             policy,

@@ -27,24 +27,22 @@ to audit, and the numeric backend is chosen by picking a view:
     identical to :class:`ExactView` — for *every* strategy, including
     custom subclasses, since the same strategy code runs on both.
 
-Every view accepts an optional per-miner *allowed-coin* mask, which is
-how :class:`~repro.core.restricted.RestrictedGame` dynamics run on the
-integer kernel: the restriction only filters candidate moves, so it
-pushes down into the views instead of needing its own loop or engine —
-``LearningEngine().run(restricted_game, start)`` is restricted learning.
+Every view reads the game's allowed-coin mask (see
+:class:`~repro.core.game.Game`): the restriction only filters candidate
+moves, so it needs no loop or engine of its own —
+``LearningEngine().run(masked_game, start)`` is restricted learning.
 """
 
 from __future__ import annotations
 
 import abc
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner
-from repro.core.restricted import normalize_mask
 
 #: The backend strings :func:`make_view` (and every engine) accepts.
 BACKENDS = ("fast", "exact", "class")
@@ -78,9 +76,9 @@ class GameView(abc.ABC):
         """The game's coins, in game order."""
         return self.game.coins
 
-    @abc.abstractmethod
     def allowed_coins(self, miner: Miner) -> Tuple[Coin, ...]:
         """The coins *miner* may mine (all coins when unrestricted)."""
+        return self.game.allowed_coins(miner)
 
     @abc.abstractmethod
     def coin_of(self, miner: Miner) -> Coin:
@@ -158,28 +156,16 @@ class GameView(abc.ABC):
 class ExactView(GameView):
     """The Fraction backend: a game, a configuration, a live power map."""
 
-    __slots__ = ("game", "_config", "_powers", "_allowed")
+    __slots__ = ("game", "_config", "_powers")
 
-    def __init__(
-        self,
-        game: Game,
-        initial: Configuration,
-        *,
-        allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
-    ):
+    def __init__(self, game: Game, initial: Configuration):
         self.game = game
         self._config = initial
         # Incrementally maintained {coin: M_c(s)}; keeps every query at
         # O(k) per miner instead of O(n·k).
         self._powers: Dict[Coin, Fraction] = game.coin_power_map(initial)
-        self._allowed = normalize_mask(game, allowed)
 
     # -- structure -----------------------------------------------------
-
-    def allowed_coins(self, miner: Miner) -> Tuple[Coin, ...]:
-        if self._allowed is None:
-            return self.game.coins
-        return self._allowed[miner]
 
     def coin_of(self, miner: Miner) -> Coin:
         return self._config.coin_of(miner)
@@ -196,34 +182,19 @@ class ExactView(GameView):
         return miner.power * self.game.rewards[coin] / (self._powers[coin] + miner.power)
 
     def improving_moves(self, miner: Miner) -> Tuple[Coin, ...]:
-        if self._allowed is None:
-            return self.game.better_response_moves_given(
-                miner, self._config, self._powers
-            )
-        rewards = self.game.rewards
-        powers = self._powers
-        current = self._config.coin_of(miner)
-        current_reward = rewards[current]
-        current_mass = powers[current]
-        return tuple(
-            coin
-            for coin in self._allowed[miner]
-            if coin != current
-            and rewards[coin] * current_mass > current_reward * (powers[coin] + miner.power)
-        )
+        return self.game.better_response_moves_given(miner, self._config, self._powers)
 
     def best_response(self, miner: Miner) -> Optional[Coin]:
         rewards = self.game.rewards
         powers = self._powers
         current = self._config.coin_of(miner)
-        candidates = self.game.coins if self._allowed is None else self._allowed[miner]
         # Best-so-far as the pair (reward, mass-denominator); strict
         # improvement only, so ties resolve to the earliest coin —
         # exactly Game.best_response.
         best_reward = rewards[current]
         best_mass = powers[current]
         best: Optional[Coin] = None
-        for coin in candidates:
+        for coin in self.game.allowed_coins(miner):
             if coin == current:
                 continue
             mass = powers[coin] + miner.power
@@ -234,11 +205,7 @@ class ExactView(GameView):
         return best
 
     def unstable_miners(self) -> Tuple[Miner, ...]:
-        if self._allowed is None:
-            return self.game.unstable_miners_given(self._config, self._powers)
-        return tuple(
-            miner for miner in self.game.miners if self.improving_moves(miner)
-        )
+        return self.game.unstable_miners_given(self._config, self._powers)
 
     # -- selection helpers ---------------------------------------------
 
@@ -280,31 +247,29 @@ def make_view(
     initial: Configuration,
     *,
     backend: str = "fast",
-    allowed: Optional[Mapping[Miner, Sequence[Coin]]] = None,
 ) -> GameView:
     """The view for *backend*: ``"fast"`` → KernelView, ``"exact"`` →
     ExactView, ``"class"`` → the population-compressed
     :class:`~repro.kernel.classes.ClassView` (identical decisions, scans
     memoized per (power, alphabet) class).
 
-    The single seam every engine goes through; *allowed* is the
-    restricted-game mask (``None`` = unrestricted).
+    The single seam every engine goes through.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"backend must be 'fast', 'exact' or 'class', got {backend!r}"
         )
     if backend == "exact":
-        return ExactView(game, initial, allowed=allowed)
+        return ExactView(game, initial)
     # Imported lazily so this module (which every strategy imports)
     # never pulls the kernel package in at import time.
     if backend == "class":
         from repro.kernel.classes import ClassView
 
-        return ClassView(game, initial, allowed=allowed)
+        return ClassView(game, initial)
     from repro.kernel.engine import KernelView
 
-    return KernelView(game, initial, allowed=allowed)
+    return KernelView(game, initial)
 
 
 __all__ = ["BACKENDS", "ExactView", "GameView", "make_view"]

@@ -80,9 +80,9 @@ class RunSpec:
     changes nothing.
 
     ``seed`` pins this cell's root seed explicitly; ``None`` (default)
-    derives it from :func:`run_many`'s root, in cell order. ``allowed``
-    restricts miners to coin subsets (a restricted game's mask);
-    ``label`` is carried through untouched for callers that need to
+    derives it from :func:`run_many`'s root, in cell order. A masked
+    ``game`` restricts every run to its allowed coins, starts included;
+    noisy cells reject one. ``label`` is carried through untouched for callers that need to
     re-identify cells in the flat result list.
 
     ``stream=True`` (trajectory cells only) opts into the streaming
@@ -99,7 +99,6 @@ class RunSpec:
     kind: str = "trajectory"
     policy: Any = None
     scheduler: Any = None
-    allowed: Any = None
     max_steps: Optional[int] = None
     backend: str = "fast"
     engine: Any = None
@@ -233,7 +232,6 @@ def _run_trajectory_cell(
             policy=cell.policy,
             scheduler=cell.scheduler,
             seed=root,
-            allowed=cell.allowed,
             stream=cell.stream,
         )
 
@@ -246,15 +244,7 @@ def _run_classes_cell(cell: RunSpec, root: np.random.SeedSequence) -> List[Any]:
         run_class_better_response,
     )
 
-    if isinstance(cell.game, ClassGame):
-        if cell.allowed is not None:
-            raise ValueError(
-                "classes cells over a ClassGame carry their mask in the "
-                "class alphabets; allowed= applies to per-miner games only"
-            )
-        cgame = cell.game
-    else:
-        cgame = ClassGame.from_game(cell.game, allowed=cell.allowed)
+    cgame = cell.game if isinstance(cell.game, ClassGame) else ClassGame.from_game(cell.game)
     policy = cell.policy if cell.policy is not None else "random-improving"
     scheduler = cell.scheduler if cell.scheduler is not None else "uniform"
     max_steps = cell.max_steps if cell.max_steps is not None else DEFAULT_MAX_STEPS
@@ -328,7 +318,6 @@ def _run_cells_vectorized(
             policy=cell.policy,
             scheduler=cell.scheduler,
             seed_pairs=seed_pairs,
-            allowed=cell.allowed,
             max_steps=cell.max_steps,
             backend=cell.backend,
         )

@@ -42,12 +42,23 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.game import Game
+from repro.exceptions import InvalidModelError
 from repro.kernel.batch import PooledRunner
 from repro.kernel.engine import KernelView
 from repro.obs.recorder import get_recorder
 from repro.stochastic.estimator import SampleBudget, as_budget
 from repro.stochastic.lottery import sample_win_count
 from repro.util.rng import RngLike, make_rng, seed_sequence
+
+
+def _require_unmasked(game: Game) -> None:
+    """Noisy learning samples every coin; refuse a masked game instead
+    of running it unrestricted."""
+    if game.allowed is not None:
+        raise InvalidModelError(
+            "noisy learning does not support allowed-coin masks; "
+            "run it on an unmasked game"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,7 @@ class NoisyLearningEngine:
         run_index: int = 0,
     ) -> NoisyRunResult:
         """Run noisy learning from *initial* until settled or out of budget."""
+        _require_unmasked(game)
         game.validate_configuration(initial)
         rng = make_rng(seed)
         # The same incremental integer state every other dynamic runs
@@ -240,6 +252,7 @@ def run_noisy_population(
     from repro.kernel.tensor import stable_mask
     from repro.stochastic.lottery import sample_win_count
 
+    _require_unmasked(game)
     kernel = KernelGame(game)
     reps = len(seed_pairs)
     n, k = kernel.n_miners, kernel.n_coins

@@ -138,19 +138,6 @@ def _engine_identity(engine: Any) -> Dict[str, Any]:
     return identity
 
 
-def _canonical_allowed(spec: RunSpec) -> Optional[List[List[Any]]]:
-    if spec.allowed is None:
-        return None
-    from repro.core.restricted import normalize_mask
-
-    mask = normalize_mask(spec.game, spec.allowed)
-    if mask is None:
-        return None
-    return sorted(
-        [miner.name, [coin.name for coin in coins]] for miner, coins in mask.items()
-    )
-
-
 def canonical_cell(spec: RunSpec) -> Dict[str, Any]:
     """The cell's canonical JSON form — everything but the seed.
 
@@ -161,15 +148,18 @@ def canonical_cell(spec: RunSpec) -> Dict[str, Any]:
     from repro.learning.policies import RandomImprovingPolicy
     from repro.learning.schedulers import UniformRandomScheduler
 
+    game = _canonical_game(spec.game)
     payload: Dict[str, Any] = {
         "format": "game-of-coins/sweep-cell",
         "version": 1,
-        "game": _canonical_game(spec.game),
+        "game": game,
         "kind": spec.kind,
         "runs": spec.runs,
         "backend": spec.backend,
         "max_steps": spec.max_steps,
-        "allowed": _canonical_allowed(spec),
+        # A masked game's mask keeps the cell's own "allowed" slot, so
+        # an unmasked cell's form (and cache key) is unchanged.
+        "allowed": game.pop("allowed", None),
         "stream": spec.stream,
     }
     if spec.kind == "noisy":

@@ -101,8 +101,8 @@ def test_class_kernel_matches_config_space(case):
     """The wall: classes ≡ symmetry blocks, stable profiles ≡ stable
     orbits, orbit expansion ≡ the per-miner equilibrium count."""
     game, allowed = sweep_case(case)
-    cgame = ClassGame.from_game(game, allowed=allowed)
-    space = ConfigSpace(game, allowed=allowed)
+    cgame = ClassGame.from_game(game.with_allowed(allowed))
+    space = ConfigSpace(game.with_allowed(allowed))
 
     # Classes are exactly ConfigSpace's symmetry blocks, same order.
     assert cgame.members == tuple(indices for indices, _, _ in space._blocks)
@@ -186,8 +186,8 @@ def test_class_kernel_equilibria_property(data, run_seed):
             for miner, mask in zip(game.miners, masks)
         }
     )
-    cgame = ClassGame.from_game(game, allowed=allowed)
-    space = ConfigSpace(game, allowed=allowed)
+    cgame = ClassGame.from_game(game.with_allowed(allowed))
+    space = ConfigSpace(game.with_allowed(allowed))
     stable = cgame.stable_profiles()
     codes = space.stable_codes()
     assert sum(cgame.orbit_size(profile) for profile in stable) == len(codes)
@@ -218,7 +218,7 @@ def test_from_spec_equals_from_game(data, run_seed):
             for miner, mask in zip(game.miners, masks)
         }
     )
-    cgame = ClassGame.from_game(game, allowed=allowed)
+    cgame = ClassGame.from_game(game.with_allowed(allowed))
     twin = ClassGame.from_spec(
         [(power, alphabet, count) for power, alphabet, count in cgame.spec()],
         rewards=cgame.reward_fractions,
@@ -300,7 +300,7 @@ def test_populated_classes_match_canonical_per_miner_engine(
     match the per-miner engine step for step under the class-canonical
     activation order."""
     game, allowed = sweep_case(case)
-    cgame = ClassGame.from_game(game, allowed=allowed)
+    cgame = ClassGame.from_game(game.with_allowed(allowed))
     start = random_configuration(game, seed=case)
     if allowed is not None:
         # Project the start into the mask: first allowed coin per miner.
@@ -316,7 +316,7 @@ def test_populated_classes_match_canonical_per_miner_engine(
         scheduler=CanonicalPairScheduler(cgame),
         record="summary",
     )
-    per_miner = engine.run(game, start, seed=0, allowed=allowed)
+    per_miner = engine.run(game.with_allowed(allowed), start, seed=0)
     compressed = run_class_better_response(
         cgame,
         cgame.counts_of(start),
@@ -339,7 +339,7 @@ def test_populated_classes_match_canonical_per_miner_engine(
 @pytest.mark.parametrize("case", [1, 9, 23, 42, 71, 88, 104])
 def test_max_chunk_is_the_exact_maximal_improving_run(case):
     game, allowed = sweep_case(case)
-    cgame = ClassGame.from_game(game, allowed=allowed)
+    cgame = ClassGame.from_game(game.with_allowed(allowed))
     rng = np.random.default_rng(case)
     checked = 0
     for _ in range(12):
@@ -465,10 +465,10 @@ def test_class_backend_is_draw_identical_to_fast(case):
         rng_fast = np.random.default_rng(case)
         rng_class = np.random.default_rng(case)
         fast = LearningEngine(policy=policy, backend="fast").run(
-            game, start, seed=rng_fast, allowed=allowed
+            game.with_allowed(allowed), start, seed=rng_fast
         )
         compressed = LearningEngine(policy=policy, backend="class").run(
-            game, start, seed=rng_class, allowed=allowed
+            game.with_allowed(allowed), start, seed=rng_class
         )
         assert fast.converged and compressed.converged
         assert len(fast.steps) == len(compressed.steps)
@@ -537,15 +537,10 @@ def test_run_many_classes_route_is_deterministic_and_stable():
 
 def test_run_many_classes_cell_validation():
     game, _ = sweep_case(13)
-    big = ClassGame.from_spec([(1, None, 10)], rewards=[2, 1])
     with pytest.raises(ValueError):
         RunSpec(game=game, runs=2, kind="classes", policy=RandomImprovingPolicy())
     with pytest.raises(ValueError):
         RunSpec(game=game, runs=2, kind="classes", scheduler=UniformRandomScheduler())
-    with pytest.raises(ValueError):
-        run_many(
-            [RunSpec(game=big, runs=1, kind="classes", allowed={"t1": [0]})]
-        )
     with pytest.raises(ValueError):
         run_class_better_response(
             ClassGame.from_game(game), ClassGame.from_game(game).random_counts(), policy="nope"
@@ -593,14 +588,11 @@ def test_from_spec_validation():
         merged.assignment_of_counts([[6, 0], [3, 0]])
 
 
-def test_from_game_rejects_double_masking():
+def test_from_game_compresses_a_restricted_game():
     game, _ = sweep_case(0)
     restricted = RestrictedGame(
         game, {miner: list(game.coins) for miner in game.miners}
     )
-    with pytest.raises(InvalidModelError, match="not both"):
-        ClassGame.from_game(restricted, allowed={game.miners[0]: [game.coins[0]]})
-    # A RestrictedGame alone compresses on its own mask.
     assert ClassGame.from_game(restricted).total_miners == len(game.miners)
 
 
@@ -706,5 +698,3 @@ def test_class_analysis_helpers():
         measure_class_convergence(game, runs=0)
     with pytest.raises(ValueError):
         class_basin_profile(game, samples=0)
-    with pytest.raises(ValueError, match="allowed"):
-        class_basin_profile(cgame, samples=2, allowed={})

@@ -14,7 +14,18 @@ from repro.core.equilibrium import (
 )
 from repro.core.factories import random_game
 from repro.core.game import Game
+from repro.core.miner import sorted_by_power
 from repro.exceptions import InvalidModelError
+
+
+def _insertion_reference(game):
+    """Appendix A by rebuilding the partial state for every insertion."""
+    placed, choices, partial = [], [], None
+    for miner in sorted_by_power(game.miners):
+        placed.append(miner)
+        choices.append(best_insertion_coin(game, partial, miner))
+        partial = Configuration(placed, choices)
+    return Configuration.from_mapping(game.miners, dict(partial))
 
 
 class TestGreedyEquilibrium:
@@ -37,6 +48,24 @@ class TestGreedyEquilibrium:
         game = Game.create([10, 1, 1], [1000, 1])
         equilibrium = greedy_equilibrium(game)
         assert equilibrium.coin_of(game.miners[0]) == game.coin_named("c1")
+
+
+    def test_running_mass_matches_insertion_reference(self):
+        game = random_game(250, 4)
+        assert greedy_equilibrium(game) == _insertion_reference(game)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["game-order", "reversed"])
+    def test_masked_greedy_matches_insertion_reference(self, reverse):
+        # Equal rewards and powers make insertions tie among the allowed
+        # coins; the earliest coin in game order must win whatever
+        # order the mask lists them in.
+        for game in (random_game(40, 4, seed=2), Game.create([2, 1, 1, 1], [5, 5, 5, 5])):
+            mask = {}
+            for i, miner in enumerate(game.miners):
+                coins = [game.coins[j] for j in range(4) if (i + j) % 3]
+                mask[miner] = coins[::-1] if reverse else coins
+            masked = game.with_allowed(mask)
+            assert greedy_equilibrium(masked) == _insertion_reference(masked)
 
 
 class TestBestInsertionCoin:

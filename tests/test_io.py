@@ -57,6 +57,18 @@ class TestGameRoundTrip:
         for entry in payload["miners"]:
             assert isinstance(entry["power"], str) and "/" in entry["power"]
 
+    def test_allowed_mask_round_trips_and_is_absent_when_unmasked(self):
+        game = random_game(5, 3, seed=13)
+        assert "allowed" not in game_to_dict(game)
+        masked = game.with_allowed({game.miners[1]: [game.coins[2], game.coins[0]]})
+        payload = game_to_dict(masked)
+        assert payload["allowed"]["p2"] == ["c1", "c3"]
+        rebuilt = game_from_dict(payload)
+        assert {m.name: [c.name for c in cs] for m, cs in rebuilt.allowed.items()} == {
+            m.name: [c.name for c in cs] for m, cs in masked.allowed.items()
+        }
+        assert repr(rebuilt) == repr(masked)
+
     def test_wrong_format_rejected(self):
         with pytest.raises(InvalidModelError, match="format"):
             game_from_dict({"format": "something-else"})

@@ -45,3 +45,22 @@ def test_traced_sweep_grid_repetition_binds_every_layer(perfbench_modules, tmp_p
     metrics = tracing.layer_metrics(spans, recorder.counters)
     for name in ("batch.runner_run_s", "noisy.run_s", "analysis.measure_convergence_s"):
         assert metrics[name] > 0, name
+
+
+def test_every_workload_builds_and_exact_analysis_audits_clean(perfbench_modules, tmp_path):
+    """``ExactAnalysis`` is the only benchmark user of
+    ``RestrictedGame.by_algorithm``; one repetition must audit clean."""
+    _, workloads = perfbench_modules
+    built = {
+        name: factory(workloads.DEFAULT_SEED, str(tmp_path / name))
+        for name, factory in workloads.WORKLOADS.items()
+    }
+    assert set(built) == {"population", "sweep-grid", "exact-analysis"}
+    exact = built["exact-analysis"]
+    try:
+        audit = exact.audit(exact.rep())
+    finally:
+        for workload in built.values():
+            workload.cleanup()
+    assert audit.failed == 0, audit.problems
+    assert audit.attempted > 0

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.configuration import Configuration
+from repro.core.equilibrium import greedy_equilibrium
 from repro.core.factories import random_game
+from repro.core.potential import compare_potential
 from repro.core.restricted import RestrictedGame
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.learning.engine import LearningEngine
@@ -126,8 +128,10 @@ class TestRestrictedLearning:
         trajectory = engine.run(restricted, _legal_start(restricted), seed=3)
         for i in range(len(trajectory.configurations) - 1):
             assert (
-                restricted.compare_potential(
-                    trajectory.configurations[i], trajectory.configurations[i + 1]
+                compare_potential(
+                    restricted,
+                    trajectory.configurations[i],
+                    trajectory.configurations[i + 1],
                 )
                 < 0
             )
@@ -152,14 +156,14 @@ class TestRestrictedLearning:
         engine = LearningEngine(backend=backend)
         with pytest.raises(InvalidConfigurationError, match="cannot mine"):
             if form == "allowed":
-                engine.run(game, start, seed=0, allowed=mask)
+                engine.run(game.with_allowed(mask), start, seed=0)
             else:
                 engine.run(RestrictedGame(game, mask), start, seed=0)
 
 
 class TestRestrictedEquilibrium:
     def test_greedy_is_stable(self, restricted):
-        equilibrium = restricted.greedy_equilibrium()
+        equilibrium = greedy_equilibrium(restricted)
         restricted.validate_configuration(equilibrium)
         assert restricted.is_stable(equilibrium)
 
@@ -173,4 +177,142 @@ class TestRestrictedEquilibrium:
             miner.name: ("a" if i % 3 else "b") for i, miner in enumerate(game.miners)
         }
         restricted = RestrictedGame.by_algorithm(game, coin_algorithms, miner_hardware)
-        assert restricted.is_stable(restricted.greedy_equilibrium())
+        assert restricted.is_stable(greedy_equilibrium(restricted))
+
+
+class TestMaskedGameFrontDoors:
+    """A masked game runs through every front door and stays on its mask."""
+
+    @pytest.fixture
+    def masked(self):
+        game = random_game(7, 3, seed=5)
+        # The three largest miners may mine c1/c3 only, the rest c2/c3.
+        return game.with_allowed(
+            {
+                miner: [game.coins[0], game.coins[2]] if i < 3 else game.coins[1:]
+                for i, miner in enumerate(game.miners)
+            }
+        )
+
+    @staticmethod
+    def _on_mask(game, config):
+        return all(config.coin_of(miner) in game.allowed_coins(miner) for miner in game.miners)
+
+    @pytest.mark.parametrize("backend", ["fast", "exact"])
+    def test_run_simultaneous(self, masked, backend):
+        from repro.core.factories import random_configuration
+        from repro.learning.simultaneous import run_simultaneous
+
+        for seed in range(5):
+            start = random_configuration(masked, seed=seed)
+            result = run_simultaneous(masked, start, backend=backend)
+            assert all(self._on_mask(masked, config) for config in result.configurations)
+            assert result.converged == masked.is_stable(result.final)
+            noisy = run_simultaneous(masked, start, inertia=0.3, seed=seed, backend=backend)
+            assert all(self._on_mask(masked, config) for config in noisy.configurations)
+
+    def test_measure_convergence_equals_run_many(self, masked):
+        from repro.analysis.convergence import measure_convergence, stats_from_steps
+        from repro.run import RunSpec, run_many
+
+        stats = measure_convergence(masked, runs=12, seed=9)
+        summaries = run_many([RunSpec(game=masked, runs=12, seed=9)])[0]
+        assert stats == stats_from_steps([s.steps for s in summaries], monotone=12)
+        for summary in summaries:
+            final = summary.final_configuration(masked)
+            assert self._on_mask(masked, final) and masked.is_stable(final)
+
+    def test_basin_profile_lands_on_restricted_equilibria(self, masked):
+        from repro.analysis.basins import basin_profile
+        from repro.core.equilibrium import enumerate_equilibria
+
+        profile = basin_profile(masked, samples=20, seed=4)
+        assert sum(profile.counts.values()) == 20
+        assert set(profile.counts) <= set(enumerate_equilibria(masked))
+
+    def test_noisy_engine_refuses_a_mask(self, masked):
+        """Noisy learning samples every coin, so a masked cell must raise
+        instead of running unrestricted under a masked cache key."""
+        from repro.core.factories import random_configuration
+        from repro.run import RunSpec, run_many
+        from repro.stochastic.noisy_engine import NoisyLearningEngine
+
+        start = random_configuration(masked, seed=0)
+        with pytest.raises(InvalidModelError, match="mask"):
+            NoisyLearningEngine().run(masked, start, seed=0)
+        for executor in ("serial", "vectorized"):
+            with pytest.raises(InvalidModelError, match="mask"):
+                run_many([RunSpec(game=masked, runs=2, kind="noisy")], executor=executor)
+
+
+class TestMaskOnGame:
+    def test_normalization_rules(self, game):
+        from repro.core.coin import Coin
+        from repro.core.miner import Miner
+
+        first = game.miners[0]
+        masked = game.with_allowed({first: [game.coins[3], game.coins[1]]})
+        assert masked.allowed_coins(first) == (game.coins[1], game.coins[3])
+        assert masked.allowed_coins(game.miners[1]) == game.coins
+        assert game.with_allowed({first: list(game.coins)}).allowed is None
+        assert masked.with_allowed(None).allowed is None
+        with pytest.raises(InvalidModelError, match="not in this game"):
+            game.with_allowed({Miner.of("stranger", 1): [game.coins[0]]})
+        with pytest.raises(InvalidModelError, match="unknown coin"):
+            game.with_allowed({first: [Coin("nope")]})
+        with pytest.raises(InvalidModelError, match="at least one"):
+            game.with_allowed({first: []})
+
+    def test_with_rewards_keeps_the_mask(self, restricted):
+        from repro.core.coin import RewardFunction
+
+        doubled = RewardFunction(
+            {coin: 2 * restricted.rewards[coin] for coin in restricted.coins}
+        )
+        assert restricted.with_rewards(doubled).allowed == restricted.allowed
+
+
+def test_game_is_the_only_mask_entry_point():
+    """No public callable takes a side ``allowed=`` mask: the mask is a
+    field of ``Game``, set by its constructor or ``with_allowed``."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro
+    import repro.core.restricted
+
+    assert not hasattr(repro.core.restricted, "as_restricted")
+    assert not hasattr(repro.core.restricted, "normalize_mask")
+    offenders = set()
+    seen = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.startswith("repro.experiments.") or info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        names = getattr(module, "__all__", None)
+        if names is None:
+            names = [name for name in vars(module) if not name.startswith("_")]
+        for name in names:
+            obj = getattr(module, name, None)
+            if obj is None or id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if inspect.isclass(obj):
+                members = [
+                    (f"{obj.__qualname__}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if attr == "__init__" or not attr.startswith("_")
+                ]
+            else:
+                members = [(getattr(obj, "__qualname__", name), obj)]
+            for qualname, member in members:
+                if not callable(member):
+                    continue
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "allowed" in parameters:
+                    offenders.add(qualname)
+    assert offenders == {"Game.__init__", "Game.with_allowed"}

@@ -26,7 +26,7 @@ from repro.analysis.paths import (
     sink_configurations,
 )
 from repro.core.configuration import Configuration
-from repro.core.equilibrium import enumerate_equilibria, iter_equilibria
+from repro.core.equilibrium import enumerate_equilibria, greedy_equilibrium, iter_equilibria
 from repro.core.factories import random_game
 from repro.core.game import Game
 from repro.core.potential import find_nonzero_four_cycle
@@ -132,24 +132,26 @@ class TestEquilibriumParity:
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES)
     def test_enumerate_matches_restricted_fraction_scan(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
-        assert restricted.enumerate_equilibria(
-            backend="space"
-        ) == restricted.enumerate_equilibria(backend="exact")
+        assert enumerate_equilibria(
+            restricted, backend="space"
+        ) == enumerate_equilibria(restricted, backend="exact")
 
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[::6])
     def test_iter_matches_restricted_fraction_scan(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
-        assert list(restricted.iter_equilibria(backend="space")) == list(
-            restricted.iter_equilibria(backend="exact")
+        assert list(iter_equilibria(restricted, backend="space")) == list(
+            iter_equilibria(restricted, backend="exact")
         )
 
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[::6])
     def test_allowed_mapping_equals_restricted_game(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
-        mask = restricted.allowed_map()
-        assert enumerate_equilibria(game, allowed=mask) == restricted.enumerate_equilibria()
-        assert list(iter_equilibria(game, allowed=mask)) == list(
-            restricted.iter_equilibria()
+        mask = restricted.allowed
+        assert enumerate_equilibria(game.with_allowed(mask)) == enumerate_equilibria(
+            restricted
+        )
+        assert list(iter_equilibria(game.with_allowed(mask))) == list(
+            iter_equilibria(restricted)
         )
 
     @pytest.mark.parametrize("powers,rewards,masks", SYMMETRIC_MASKED_GAMES)
@@ -157,9 +159,9 @@ class TestEquilibriumParity:
         game, restricted = _symmetric_masked(powers, rewards, masks)
         space = ConfigSpace(restricted)
         assert space.symmetry, "these games must trigger masked symmetry reduction"
-        assert restricted.enumerate_equilibria(
-            backend="space"
-        ) == restricted.enumerate_equilibria(backend="exact")
+        assert enumerate_equilibria(
+            restricted, backend="space"
+        ) == enumerate_equilibria(restricted, backend="exact")
 
     @pytest.mark.parametrize("powers,rewards,masks", SYMMETRIC_MASKED_GAMES)
     def test_masked_orbit_multiplicities_cover_the_valid_space(
@@ -196,9 +198,9 @@ class TestEquilibriumParity:
         # Miners 0 and 2 share power and mask; miner 1 must sit alone.
         assert space.has_symmetry
         assert space.orbit_count() < space.size
-        assert restricted.enumerate_equilibria(
-            backend="space"
-        ) == restricted.enumerate_equilibria(backend="exact")
+        assert enumerate_equilibria(
+            restricted, backend="space"
+        ) == enumerate_equilibria(restricted, backend="exact")
 
 
 class TestDagParity:
@@ -310,8 +312,8 @@ class TestGreedyProperty:
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[::4])
     def test_greedy_in_enumerated_set_iff_stable(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
-        greedy = restricted.greedy_equilibrium()
-        equilibria = set(restricted.enumerate_equilibria(backend="space"))
+        greedy = greedy_equilibrium(restricted)
+        equilibria = set(enumerate_equilibria(restricted, backend="space"))
         assert (greedy in equilibria) == restricted.is_stable(greedy)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -332,9 +334,9 @@ class TestGreedyProperty:
         restricted = RestrictedGame.by_algorithm(
             game, coin_algorithms, miner_hardware
         )
-        greedy = restricted.greedy_equilibrium()
+        greedy = greedy_equilibrium(restricted)
         assert restricted.is_stable(greedy)
-        assert greedy in set(restricted.enumerate_equilibria(backend="space"))
+        assert greedy in set(enumerate_equilibria(restricted, backend="space"))
 
 
 class TestTrivialMaskIdentity:
@@ -344,7 +346,7 @@ class TestTrivialMaskIdentity:
     def test_trivial_mask_normalizes_to_unmasked(self, miners, coins, seed):
         game = _game(miners, coins, seed)
         full = {miner: list(game.coins) for miner in game.miners}
-        space = ConfigSpace(game, allowed=full)
+        space = ConfigSpace(game.with_allowed(full))
         # Identical *code path*, not merely identical answers: the
         # normalized mask is None, so every unrestricted branch runs.
         assert not space.masked
@@ -361,7 +363,7 @@ class TestTrivialMaskIdentity:
         restricted = RestrictedGame(
             game, {miner: list(game.coins) for miner in game.miners}
         )
-        assert restricted.enumerate_equilibria(backend="space") == enumerate_equilibria(
+        assert enumerate_equilibria(restricted, backend="space") == enumerate_equilibria(
             game, backend="space"
         )
         assert analyze_improvement_dag(restricted).sinks == analyze_improvement_dag(
@@ -373,9 +375,9 @@ class TestEdgeCases:
     def test_single_miner_game(self):
         game = Game.create([4], [3, 2, 5])
         restricted = RestrictedGame(game, {game.miners[0]: [game.coins[0], game.coins[2]]})
-        assert restricted.enumerate_equilibria(
-            backend="space"
-        ) == restricted.enumerate_equilibria(backend="exact")
+        assert enumerate_equilibria(
+            restricted, backend="space"
+        ) == enumerate_equilibria(restricted, backend="exact")
         analysis = analyze_improvement_dag(restricted)
         exact = analyze_improvement_dag(restricted, backend="exact")
         assert (analysis.acyclic, analysis.longest_path, list(analysis.sinks)) == (
@@ -402,8 +404,8 @@ class TestEdgeCases:
         assert space.size == 1
         walked = [code for code, _, _ in space.iter_gray()]
         assert len(walked) == 1
-        equilibria = restricted.enumerate_equilibria(backend="space")
-        assert equilibria == restricted.enumerate_equilibria(backend="exact")
+        equilibria = enumerate_equilibria(restricted, backend="space")
+        assert equilibria == enumerate_equilibria(restricted, backend="exact")
         assert len(equilibria) == 1  # nobody can move, so it is stable
 
     @pytest.mark.parametrize("powers,rewards,masks", SYMMETRIC_MASKED_GAMES[:3])
@@ -436,7 +438,7 @@ class TestEdgeCases:
     def test_empty_mask_raises(self):
         game = Game.create([4, 2], [3, 2])
         with pytest.raises(InvalidModelError, match="at least one coin"):
-            ConfigSpace(game, allowed={game.miners[0]: []})
+            ConfigSpace(game.with_allowed({game.miners[0]: []}))
         with pytest.raises(InvalidModelError, match="at least one coin"):
             RestrictedGame(game, {m: [] for m in game.miners})
 
@@ -444,22 +446,12 @@ class TestEdgeCases:
         game = Game.create([4, 2], [3, 2])
         stranger = Game.create([9, 8], [1, 1]).miners[0]
         with pytest.raises(InvalidModelError, match="not"):
-            enumerate_equilibria(game, allowed={stranger: [game.coins[0]]})
+            enumerate_equilibria(game.with_allowed({stranger: [game.coins[0]]}))
         with pytest.raises(InvalidModelError, match="not"):
-            analyze_improvement_dag(game, allowed={stranger: [game.coins[0]]})
+            analyze_improvement_dag(game.with_allowed({stranger: [game.coins[0]]}))
         full = {miner: list(game.coins) for miner in game.miners}
         with pytest.raises(InvalidModelError, match="not"):
             RestrictedGame(game, {**full, stranger: [game.coins[0]]})
-
-    def test_restricted_game_plus_allowed_mask_is_ambiguous(self):
-        game = Game.create([4, 2], [3, 2])
-        restricted = RestrictedGame(game, {m: list(game.coins) for m in game.miners})
-        with pytest.raises(InvalidModelError, match="not both"):
-            ConfigSpace(restricted, allowed={game.miners[0]: [game.coins[0]]})
-        with pytest.raises(InvalidModelError, match="not both"):
-            analyze_improvement_dag(
-                restricted, allowed={game.miners[0]: [game.coins[0]]}
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +498,9 @@ def test_masked_space_parity_property(data):
             for miner, mask in zip(game.miners, masks)
         },
     )
-    assert restricted.enumerate_equilibria(
-        backend="space"
-    ) == restricted.enumerate_equilibria(backend="exact")
+    assert enumerate_equilibria(
+        restricted, backend="space"
+    ) == enumerate_equilibria(restricted, backend="exact")
     space = analyze_improvement_dag(restricted, backend="space")
     exact = analyze_improvement_dag(restricted, backend="exact")
     assert space.acyclic and exact.acyclic  # Theorem 1 survives restriction

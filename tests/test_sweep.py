@@ -122,6 +122,22 @@ class TestFingerprints:
         other = RunSpec(game=game, runs=4, seed=2, label="y")
         assert cell_fingerprint(base) == cell_fingerprint(other)
 
+    def test_unmasked_fingerprint_is_pinned(self):
+        """Existing caches stay valid: an unmasked cell's key is fixed."""
+        spec = RunSpec(game=random_game(5, 3, seed=7), runs=4)
+        assert cell_fingerprint(spec) == (
+            "ecb2a34c181d7447fbb015d351c827aacee3928629ed59f170be194a7f846ab9"
+        )
+
+    def test_mask_changes_the_fingerprint(self):
+        game = random_game(5, 3, seed=7)
+        masked = game.with_allowed({game.miners[0]: [game.coins[1]]})
+        keys = {
+            cell_fingerprint(RunSpec(game=g, runs=4))
+            for g in (game, masked, masked.with_allowed({game.miners[0]: [game.coins[2]]}))
+        }
+        assert len(keys) == 3
+
     def test_content_changes_the_fingerprint(self):
         game = random_game(5, 2, seed=1)
         base = RunSpec(game=game, runs=4)

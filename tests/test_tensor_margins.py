@@ -125,20 +125,20 @@ def lane_states(draw):
             st.lists(st.integers(0, k - 1), min_size=n, max_size=n), min_size=1, max_size=6
         )
     )
-    allowed = None
     if draw(st.booleans()):
         # Each miner may use a random subset of coins; its current coin
         # (in the first state) is always among them.
-        allowed = tuple(
-            tuple(
-                sorted(
-                    {states[0][i]}
-                    | set(draw(st.lists(st.integers(0, k - 1), max_size=k)))
-                )
-            )
-            for i in range(n)
-        )
-    return kernel, np.array(states, dtype=np.int64), allowed
+        coins = game.coins
+        mask = {
+            miner: [
+                coins[j]
+                for j in {states[0][i]}
+                | set(draw(st.lists(st.integers(0, k - 1), max_size=k)))
+            ]
+            for i, miner in enumerate(game.miners)
+        }
+        kernel = KernelGame(game.with_allowed(mask))
+    return kernel, np.array(states, dtype=np.int64), kernel.allowed
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,16 +161,12 @@ def test_margin_table_verdicts_match_scalar_core(case):
         _improving_rows(table, powers, rewards, assigns, mass, allowed_m, f32, np.full(G, i))
         for i in range(n)
     ]
-    stable = stable_mask(kernel, assigns, allowed)
+    stable = stable_mask(kernel, assigns)
     for g in range(G):
         # Python ints: the scalar core's products exceed int64 here.
         assign, mass_g = assigns[g].tolist(), mass[g].tolist()
         for i in range(n):
-            within = allowed[i] if allowed is not None else None
-            moves = kernel.better_moves(i, assign, mass_g, within)
+            moves = kernel.better_moves(i, assign, mass_g)
             assert bool(unstable[g, i]) == bool(moves)
             assert list(np.flatnonzero(rows[i][g])) == moves
-        expected = kernel.stable_index(
-            assign, mass_g, list(allowed) if allowed is not None else None
-        )
-        assert bool(stable[g]) == expected
+        assert bool(stable[g]) == kernel.stable_index(assign, mass_g)

@@ -22,13 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configuration import Configuration
-from repro.core.factories import (
-    random_configuration,
-    random_game,
-    random_restricted_configuration,
-)
+from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
-from repro.core.restricted import normalize_mask
 from repro.kernel.core import KernelGame
 from repro.kernel.engine import KernelView
 from repro.kernel.tensor import (
@@ -77,9 +72,9 @@ SCHEDULERS = (
 SIZES = ((3, 2), (5, 2), (6, 3), (8, 3), (10, 4), (40, 5))
 
 
-def scalar_reference(game, policy, scheduler, start, seed, *, allowed=None):
+def scalar_reference(game, policy, scheduler, start, seed):
     """Run the scalar KernelView stepper; return (final, steps, conv, rng state)."""
-    view = KernelView(game, start, allowed=allowed)
+    view = KernelView(game, start)
     rng = np.random.default_rng(seed)
     trajectory = run_better_response(
         view, policy, scheduler, rng, max_steps=1_000_000, record="summary"
@@ -92,14 +87,8 @@ def scalar_reference(game, policy, scheduler, start, seed, *, allowed=None):
     )
 
 
-def tensor_job(kernel, game, policy, scheduler, start, seed, *, mask=None):
+def tensor_job(kernel, game, policy, scheduler, start, seed):
     kind, epsilon = policy_kind(policy)
-    allowed_idx = None
-    if mask is not None:
-        allowed_idx = tuple(
-            tuple(kernel.coin_index[coin] for coin in mask[miner])
-            for miner in game.miners
-        )
     return TrajectoryJob(
         kernel=kernel,
         assign=kernel.assignment_of(start),
@@ -107,7 +96,6 @@ def tensor_job(kernel, game, policy, scheduler, start, seed, *, mask=None):
         policy=kind,
         scheduler=scheduler_kind(scheduler),
         epsilon=epsilon,
-        allowed=allowed_idx,
     )
 
 
@@ -143,25 +131,21 @@ def test_population_parity_masked():
     jobs, refs = [], []
     for seed in range(60):
         n, k = SIZES[seed % 4]  # keep the masked sweep on small shapes
-        game = random_game(n, k, seed=seed + 50)
-        kernel = KernelGame(game)
+        base = random_game(n, k, seed=seed + 50)
         rng = np.random.default_rng(seed)
         allowed = {}
-        for miner in game.miners:
-            picks = [coin for coin in game.coins if rng.random() < 0.7]
+        for miner in base.miners:
+            picks = [coin for coin in base.coins if rng.random() < 0.7]
             allowed[miner] = picks or [
-                game.coins[int(rng.integers(0, len(game.coins)))]
+                base.coins[int(rng.integers(0, len(base.coins)))]
             ]
-        mask = normalize_mask(game, allowed)
-        start = random_restricted_configuration(game, allowed, seed=seed + 9000)
+        game = base.with_allowed(allowed)
+        kernel = KernelGame(game)
+        start = random_configuration(game, seed=seed + 9000)
         policy = POLICIES[seed % len(POLICIES)]
         scheduler = SCHEDULERS[seed % len(SCHEDULERS)]
-        refs.append(
-            scalar_reference(game, policy, scheduler, start, seed, allowed=allowed)
-        )
-        jobs.append(
-            tensor_job(kernel, game, policy, scheduler, start, seed, mask=mask)
-        )
+        refs.append(scalar_reference(game, policy, scheduler, start, seed))
+        jobs.append(tensor_job(kernel, game, policy, scheduler, start, seed))
     assert_population_matches(jobs, refs)
 
 

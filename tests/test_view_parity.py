@@ -246,16 +246,15 @@ def test_masked_views_agree_with_restricted_game_queries():
         restricted = RestrictedGame(
             greedy_tie, {miner: coins for miner in greedy_tie.miners}
         )
-        assert restricted.allowed_coins(greedy_tie.miners[0]) == tuple(coins)
-        assert restricted.greedy_equilibrium() == greedy_equilibrium(greedy_tie)
+        assert restricted.allowed_coins(greedy_tie.miners[0]) == greedy_tie.coins
+        assert greedy_equilibrium(restricted) == greedy_equilibrium(greedy_tie)
         cases.append(
             (restricted, Configuration(greedy_tie.miners, [coins[0]] * 2))
         )
     for restricted, start in cases:
-        game = restricted.game
-        allowed = {miner: restricted.allowed_coins(miner) for miner in game.miners}
+        game = restricted
         views = [
-            make_view(game, start, backend=backend, allowed=allowed)
+            make_view(restricted, start, backend=backend)
             for backend in ("exact", "fast", "class")
         ]
         for view in views:
@@ -328,11 +327,11 @@ def test_mask_validation_rejects_foreign_miners_and_coins():
     start = random_configuration(game, seed=71)
     stranger = Miner.of("stranger", 5)
     with pytest.raises(InvalidModelError, match="not"):
-        make_view(game, start, allowed={stranger: list(game.coins)})
+        make_view(game.with_allowed({stranger: list(game.coins)}), start)
     with pytest.raises(InvalidModelError, match="unknown coin"):
-        make_view(game, start, allowed={game.miners[0]: [Coin("nope")]})
+        make_view(game.with_allowed({game.miners[0]: [Coin("nope")]}), start)
     with pytest.raises(InvalidModelError, match="at least one"):
-        make_view(game, start, allowed={game.miners[0]: []})
+        make_view(game.with_allowed({game.miners[0]: []}), start)
 
 
 def test_views_answer_identically_along_a_trajectory():
