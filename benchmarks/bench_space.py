@@ -3,9 +3,10 @@
 Both free-game benches perform the identical Theorem 1 workload on the
 identical six games at the seed problem size (5 miners × 2 coins): full
 improvement-DAG analysis (acyclicity + exact longest path + sinks)
-plus equilibrium enumeration. ``fraction`` is the pre-PR path
+plus equilibrium enumeration. ``fraction`` is the seed path
 (Configuration objects, Fraction arithmetic); ``space`` is the
-Gray-code integer-code engine. Run both and feed the JSON to
+integer-code engine with its numpy-blocked move builder. Run both and
+feed the JSON to
 ``benchmarks/compare.py`` to print the speedup ratio — the engine is
 ≥10× faster at this size and the gap widens with the space
 (the full analysis of a 12×2 game drops from ~13 s to ~0.03 s).
@@ -18,6 +19,13 @@ brute-forces the masked ``Game.all_configurations``.
 
 Cross-checks assert both paths return identical answers, so the bench
 doubles as an end-to-end parity test at benchmark scale.
+
+``large_dag_space`` tracks the move builder and the sink peel where
+they dominate: the full improvement DAG of a 9×3 free game (19,683
+nodes) and of a 10×4 hardware-restricted game, through
+``analyze_improvement_dag(backend="space")``. The Fraction path is too
+slow at that size to run alongside, so the check there is that every
+sink is a Fraction-verified equilibrium.
 """
 
 from repro.analysis.paths import analyze_improvement_dag
@@ -59,6 +67,22 @@ def _restricted_games():
             RestrictedGame.by_algorithm(game, coin_algorithms, miner_hardware)
         )
     return restricted
+
+
+def _large_games():
+    """A 9×3 free game and a 10×4 game split between two PoW algorithms."""
+    rngs = spawn_rngs(11, 2)
+    free = random_game(9, 3, seed=rngs[0])
+    base = random_game(10, 4, seed=rngs[1])
+    coin_algorithms = {
+        coin.name: "sha256d" if index < 2 else "scrypt"
+        for index, coin in enumerate(base.coins)
+    }
+    miner_hardware = {
+        miner.name: "sha256d" if index % 2 == 0 else "scrypt"
+        for index, miner in enumerate(base.miners)
+    }
+    return [free, RestrictedGame.by_algorithm(base, coin_algorithms, miner_hardware)]
 
 
 def _workload(backend):
@@ -105,3 +129,13 @@ def test_restricted_enumeration_space(benchmark):
     assert results == _restricted_workload("exact"), (
         "mask-aware space engine must match the restricted Fraction path"
     )
+
+
+def test_large_dag_space(benchmark):
+    games = _large_games()
+    results = benchmark(
+        lambda: [analyze_improvement_dag(game, backend="space") for game in games]
+    )
+    for game, analysis in zip(games, results):
+        assert analysis.acyclic and analysis.longest_path >= 1
+        assert analysis.sinks and all(game.is_stable(sink) for sink in analysis.sinks)

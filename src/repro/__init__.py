@@ -104,9 +104,9 @@ The exact analyses — ``enumerate_equilibria``,
 improving path, sinks), ``reachable_equilibria`` and the Proposition 1
 refuter ``find_nonzero_four_cycle`` — default to ``backend="space"``:
 :class:`repro.kernel.space.ConfigSpace` represents each configuration
-as a base-``|C|`` integer code, walks the space in Gray-code order
-(one miner changes coin per step, so the integer mass vector updates
-in O(1) per node), answers every query through the kernel's integer
+as a base-``|C|`` integer code, builds the full graph's improving moves
+for blocks of nodes at once with numpy, finds the longest path by
+peeling sinks, answers every query through the kernel's integer
 cross-multiplication, and enumerates only canonical orbit
 representatives when the game has interchangeable miners (a
 12-equal-miner × 3-coin game shrinks from 531,441 configurations to

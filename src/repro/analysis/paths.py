@@ -10,10 +10,11 @@ exact quantities no sampling can give:
   worst case over every scheduler, policy and start), and all sinks.
   The default ``backend="space"`` runs on
   :class:`repro.kernel.space.ConfigSpace` — integer configuration
-  codes walked in Gray-code order with O(1) mass updates, flat
-  successor arrays, iterative DFS, and equal-power symmetry reduction
-  — which raises the practical size frontier by orders of magnitude
-  over the Fraction brute force (kept as ``backend="exact"``).
+  codes, improving moves built for blocks of nodes at once with numpy,
+  the longest path found by peeling sinks level by level, and
+  equal-power symmetry reduction — which raises the practical size
+  frontier by orders of magnitude over the Fraction brute force (kept
+  as ``backend="exact"``).
 * :func:`reachable_equilibria` — which equilibria a given start can
   end at (the exact version of basin analysis), also int-code based by
   default.

@@ -7,7 +7,7 @@ exactly, verifies acyclicity and sink-equilibrium agreement, and
 reports how close empirical learners get to the bound.
 
 The analysis runs on :mod:`repro.kernel.space` (integer configuration
-codes, Gray-code walk, flat successor arrays), which raised the default
+codes, numpy-blocked move building, sink peeling), which raised the default
 size from 5 to 10 miners at the same time budget. A second, symmetric
 section drives home the symmetry reduction: equal-power games are
 analyzed through their orbit quotient, so spaces of hundreds of

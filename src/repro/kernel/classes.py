@@ -227,24 +227,16 @@ class ClassGame:
     def from_game(cls, game: Game) -> "ClassGame":
         """Compress a per-miner game into its (power, alphabet) classes.
 
-        Classes are exactly the symmetry blocks of
-        :class:`~repro.kernel.space.ConfigSpace` — grouped on
+        Classes are :attr:`KernelGame.classes` — miners grouped on
         (kernel-scaled power, allowed-coin alphabet), ordered by first
-        miner — so class count matrices and canonical orbit
-        representatives are two encodings of the same objects.
+        miner — which are also the symmetry blocks of
+        :class:`~repro.kernel.space.ConfigSpace`, so class count
+        matrices and canonical orbit representatives are two encodings
+        of the same objects.
         """
         kernel = KernelGame(game)
         miner_alphabets = kernel.alphabets
-        blocks: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        for i, power in enumerate(kernel.powers):
-            blocks.setdefault((power, miner_alphabets[i]), []).append(i)
-        # dict insertion order is first-appearance order, which equals
-        # ConfigSpace._blocks' sort by first member index.
-        members = [tuple(indices) for indices in blocks.values()]
-        class_of = [0] * kernel.n_miners
-        for k, indices in enumerate(members):
-            for i in indices:
-                class_of[i] = k
+        members = kernel.classes
         miners = game.miners
         return cls(
             power_fractions=[miners[indices[0]].power for indices in members],
@@ -255,7 +247,7 @@ class ClassGame:
             game=game,
             kernel=kernel,
             members=members,
-            class_of=class_of,
+            class_of=kernel.class_of,
         )
 
     @classmethod
@@ -884,9 +876,12 @@ def run_class_simultaneous(
     counts move; inertia keeps a ``Binomial(count, inertia)`` draw of
     each pair put (one draw per pair instead of one uniform per miner —
     the same distribution as the per-miner dynamic, at class cost).
-    At ``inertia=0`` the dynamic is deterministic, round-for-round
-    identical to :func:`repro.learning.simultaneous.run_simultaneous`
-    reduced to counts, and a repeated profile proves a permanent cycle.
+    Convergence is a round with no unstable pair; a round in which
+    inertia holds every unstable pair changes nothing but still counts
+    against ``max_rounds``. At ``inertia=0`` the dynamic is
+    deterministic, round-for-round identical to
+    :func:`repro.learning.simultaneous.run_simultaneous` reduced to
+    counts, and a repeated profile proves a permanent cycle.
     """
     if not 0.0 <= inertia < 1.0:
         raise ValueError(f"inertia must be in [0, 1), got {inertia}")
@@ -902,6 +897,7 @@ def run_class_simultaneous(
     seen: Dict[Profile, int] = {initial: 0}
     for round_index in range(1, max_rounds + 1):
         movers: List[Tuple[int, int, int, int]] = []
+        unstable = False
         for k, alphabet in enumerate(cgame.alphabets):
             row = working[k]
             for src in alphabet:
@@ -911,6 +907,7 @@ def run_class_simultaneous(
                 dst = cgame.best_target(k, src, mass)
                 if dst is None:
                     continue
+                unstable = True
                 if inertia > 0.0:
                     moving = count - int(rng.binomial(count, inertia))
                     if not moving:
@@ -918,7 +915,7 @@ def run_class_simultaneous(
                 else:
                     moving = count
                 movers.append((k, src, dst, moving))
-        if not movers:
+        if not unstable:
             return ClassSimultaneousResult(
                 profiles=profiles, converged=True, cycle_start=None
             )
@@ -992,23 +989,14 @@ class ClassView(KernelView):
         kernel: Optional[KernelGame] = None,
     ):
         super().__init__(game, initial, kernel=kernel)
-        miner_alphabets = self.kernel.alphabets
-        blocks: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        class_of: List[int] = []
-        powers: List[int] = []
-        alphabets: List[Tuple[int, ...]] = []
-        for i, power in enumerate(self.kernel.powers):
-            key = (power, miner_alphabets[i])
-            k = blocks.get(key)
-            if k is None:
-                k = len(blocks)
-                blocks[key] = k
-                powers.append(power)
-                alphabets.append(miner_alphabets[i])
-            class_of.append(k)
-        self._class_of: Tuple[int, ...] = tuple(class_of)
-        self._class_powers: Tuple[int, ...] = tuple(powers)
-        self._class_alphabets: Tuple[Tuple[int, ...], ...] = tuple(alphabets)
+        classes = self.kernel.classes
+        self._class_of: Tuple[int, ...] = self.kernel.class_of
+        self._class_powers: Tuple[int, ...] = tuple(
+            self.kernel.powers[indices[0]] for indices in classes
+        )
+        self._class_alphabets: Tuple[Tuple[int, ...], ...] = tuple(
+            self.kernel.alphabets[indices[0]] for indices in classes
+        )
         # (class, coin) → ascending improving coin indices, valid for
         # the current masses only; cleared on every apply.
         self._scan_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}

@@ -84,6 +84,8 @@ class KernelGame:
         "n_coins",
         "allowed",
         "alphabets",
+        "_classes",
+        "_class_of",
     )
 
     def __init__(self, game: Game):
@@ -112,6 +114,38 @@ class KernelGame:
             if self.allowed is None
             else self.allowed
         )
+        self._classes: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._class_of: Optional[Tuple[int, ...]] = None
+
+    @property
+    def classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Miner indices grouped by (scaled power, alphabet), in order of
+        each group's first miner.
+
+        Miners of one class are interchangeable: equal power makes
+        their payoffs equal, equal alphabets make the legality of every
+        move equal. This one grouping is the class list of
+        :class:`~repro.kernel.classes.ClassGame`, the class index of
+        :class:`~repro.kernel.classes.ClassView` and the symmetry
+        blocks of :class:`~repro.kernel.space.ConfigSpace`.
+        """
+        if self._classes is None:
+            groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+            for i, key in enumerate(zip(self.powers, self.alphabets)):
+                groups.setdefault(key, []).append(i)
+            self._classes = tuple(tuple(indices) for indices in groups.values())
+        return self._classes
+
+    @property
+    def class_of(self) -> Tuple[int, ...]:
+        """Each miner's index into :attr:`classes`."""
+        if self._class_of is None:
+            class_of = [0] * self.n_miners
+            for k, indices in enumerate(self.classes):
+                for i in indices:
+                    class_of[i] = k
+            self._class_of = tuple(class_of)
+        return self._class_of
 
     # ------------------------------------------------------------------
     # State construction

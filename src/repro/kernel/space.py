@@ -1,44 +1,48 @@
 """Index-level exact enumeration over the configuration space ``C^n``.
 
-The seed verifies the paper's exact claims — Theorem 1's acyclic
-improvement graph, sink/equilibrium agreement, the worst-case path
-bound, Proposition 1's 4-cycle refuter — by brute force over
-:class:`~repro.core.configuration.Configuration` objects: each node
-costs a fresh tuple + dict, a full Fraction mass recomputation, and
-Fraction comparisons. :class:`ConfigSpace` removes all of that:
+:class:`ConfigSpace` answers the paper's exact claims — Theorem 1's
+acyclic improvement graph, sink/equilibrium agreement, the worst-case
+path bound, Proposition 1's 4-cycle refuter — without building a
+:class:`~repro.core.configuration.Configuration` or a Fraction per node:
 
 * every configuration is a **base-``|C|`` integer code** (miner 0 is
   the most significant digit, so numeric code order is exactly the
   order of :meth:`repro.core.game.Game.all_configurations`);
-* the space is walked either in **Gray-code order** (one miner changes
-  coin per step — the integer ``mass`` vector updates in O(1) per node
-  instead of O(n)) or in **product order** (odometer; amortized O(1)
-  digit changes) when the seed's scan order must be reproduced
-  verbatim;
-* every stability / better-move / successor query goes through the
-  :class:`~repro.kernel.core.KernelGame` integer cross-multiplication,
-  so no Fraction and no Configuration is allocated inside a scan;
+* **full-graph scans are numpy-blocked**: the improvement DAG
+  (:meth:`ConfigSpace.dag_report` without symmetry) and the equilibrium
+  set (:meth:`ConfigSpace.stable_codes` without symmetry) come from one
+  move builder that ranks nodes in product order, fills their mass
+  vectors and tests every (miner, coin) move on a block of up to
+  ``_BLOCK_ROWS`` nodes at a time, with
+  :meth:`~repro.kernel.core.KernelGame.stable_index`'s strict integer
+  inequality — on int64 in the kernel's ``"int"`` lane, on Python
+  integers in object arrays otherwise;
+* the **longest path** comes from peeling sinks level by level over a
+  reverse CSR of the edges (:func:`_longest_path`); a node that is
+  never peeled proves a cycle;
+* the **Gray-code walk** (one miner changes coin per step, O(1) mass
+  and code updates) and the **product-order odometer** remain for
+  per-node work in Python: E4's edge audit, :meth:`iter_equilibria`,
+  reachability and the 4-cycle refuter, whose first witness must
+  follow the seed's scan order;
 * miners with **identical power and identical allowed-coin set are
-  interchangeable**, so scans that only need orbit-level answers
-  (equilibria, acyclicity, longest path, sinks) enumerate one
-  *canonical representative* per orbit — coin indices sorted within
-  each equal-power-equal-mask block — with multiplicities, shrinking
-  ``|C|^n`` to ``Π_b C(|b|+|A_b|-1, |A_b|-1)`` over blocks with
-  alphabet ``A_b``.
+  interchangeable** (:attr:`~repro.kernel.core.KernelGame.classes`),
+  so orbit-level scans (equilibria, acyclicity, longest path, sinks)
+  enumerate one *canonical representative* per orbit — coin indices
+  sorted within each block — with multiplicities, shrinking ``|C|^n``
+  to ``Π_b C(|b|+|A_b|-1, |A_b|-1)`` over blocks with alphabet
+  ``A_b``. The quotient graph's canonical successors are built in
+  Python and peeled by the same :func:`_longest_path`.
 
 The engine is **mask-aware**: a masked game's per-miner *allowed-coin*
 sets (the paper's asymmetric case — hardware that can only mine a
 subset of coins) turn each miner's digit into its own **alphabet** of
-ascending coin indices. The Gray-code walk and the product-order
-odometer then iterate only mask-valid assignments (the walk runs over
-digit *positions*, so the O(1) incremental mass/code update survives
-arbitrary alphabets), stability and successor checks scan the
-kernel's per-miner ``alphabets``, and symmetry reduction keys its blocks on
-(power, alphabet) — permuting two miners is a better-response-graph
+ascending coin indices. The move builder and both walks visit only
+mask-valid assignments, every stability and successor test scans the
+kernel's per-miner ``alphabets``, and symmetry blocks key on (power,
+alphabet) — permuting two miners is a better-response-graph
 automorphism only if both their powers *and* their allowed sets match,
 which keeps the orbit-quotient DAG analysis sound under restriction.
-Masks that allow every coin for every miner normalize away entirely,
-so the unrestricted hot paths are untouched.
 
 ``Configuration`` objects are materialized only at API boundaries
 (returned equilibria, graph sinks, 4-cycle witnesses).
@@ -62,12 +66,19 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro._numeric import multinomial
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.kernel.core import KernelGame
+from repro.kernel.tensor import kernel_lane
 from repro.obs.recorder import get_recorder
+
+#: Rows per block of :meth:`ConfigSpace._move_blocks`; bounds the
+#: builder's temporaries whatever the size of the space.
+_BLOCK_ROWS = 1 << 16
 
 
 def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -141,10 +152,11 @@ class DagReport:
 class ConfigSpace:
     """An exact, index-level view of a game's configuration space.
 
-    Scans never allocate Configurations or Fractions; the per-node state
-    is one ``assign`` list (coin index per miner) and one integer
-    ``mass`` list (scaled coin power), both mutated in place by the
-    walk generators — callers must copy anything they keep.
+    Scans never allocate Configurations or Fractions. Full-graph scans
+    work on numpy blocks of nodes; the walks' per-node state is one
+    ``assign`` list (coin index per miner) and one integer ``mass``
+    list (scaled coin power), both mutated in place by the walk
+    generators — callers must copy anything they keep.
 
     On a masked game codes remain full-space base-``|C|`` codes, but
     the walks visit only mask-valid assignments, ``size`` counts only
@@ -189,25 +201,16 @@ class ConfigSpace:
             size *= len(alphabet)
         #: Number of (mask-valid) configurations; ``|C|^n`` unmasked.
         self.size: int = size
-        # Symmetry blocks: miner indices grouped by (scaled power,
-        # alphabet), in miner order. Two miners generate a graph
-        # automorphism only when both match — equal power makes their
-        # payoffs interchangeable, equal alphabets make the *legality*
-        # of every move interchangeable. Only blocks of size ≥ 2
-        # generate symmetry.
-        by_key: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        for i, power in enumerate(kernel.powers):
-            by_key.setdefault((power, self._alphabets[i]), []).append(i)
+        # Symmetry blocks: the kernel's (scaled power, alphabet) classes.
+        # Two miners generate a graph automorphism only when both match
+        # — equal power makes their payoffs interchangeable, equal
+        # alphabets make the *legality* of every move interchangeable.
+        # Only blocks of size ≥ 2 generate symmetry.
         self._blocks: List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = [
-            (tuple(indices), power, alphabet)
-            for (power, alphabet), indices in sorted(
-                by_key.items(), key=lambda kv: kv[1][0]
-            )
+            (indices, kernel.powers[indices[0]], self._alphabets[indices[0]])
+            for indices in kernel.classes
         ]
-        self._block_of: List[int] = [0] * self.n_miners
-        for b, (indices, _, _) in enumerate(self._blocks):
-            for i in indices:
-                self._block_of[i] = b
+        self._block_of: Tuple[int, ...] = kernel.class_of
         self.has_symmetry: bool = any(len(indices) > 1 for indices, _, _ in self._blocks)
         self.symmetry = symmetry and self.has_symmetry
         self._block_choices: Optional[
@@ -591,12 +594,14 @@ class ConfigSpace:
                     codes.extend(self.orbit_codes(assign))
             codes.sort()
         else:
+            # Stable means no improving move; blocks come out ascending.
             codes = [
                 code
-                for code, assign, mass in self.iter_gray()
-                if self.is_stable_state(assign, mass)
+                for lo, block_codes, src, _ in self._move_blocks()
+                for code in block_codes[
+                    np.bincount(src - lo, minlength=len(block_codes)) == 0
+                ].tolist()
             ]
-            codes.sort()
         recorder = get_recorder()
         if recorder.enabled:
             # The symmetric path stability-checks one node per orbit.
@@ -661,48 +666,74 @@ class ConfigSpace:
             )
         return result
 
-    def _dag_full(self) -> DagReport:
-        if self._allowed_idx is not None:
-            return self._dag_full_masked()
-        total = self.size
-        succ: List[Sequence[int]] = [()] * total
-        for code, assign, mass in self.iter_gray():
-            edges = self.successor_codes(code, assign, mass)
-            if edges:
-                succ[code] = edges
-        acyclic, longest = _longest_path_over(succ)
-        sinks = tuple(code for code in range(total) if not succ[code])
-        return DagReport(
-            acyclic=acyclic,
-            longest_path=longest,
-            sink_codes=sinks,
-            nodes_scanned=total,
-            total_configurations=total,
-            symmetry_reduced=False,
-        )
+    def _move_blocks(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every improving move of the full graph, a block of nodes at a time.
 
-    def _dag_full_masked(self) -> DagReport:
-        # Valid codes are sparse in the full code range, so the flat
-        # code-indexed successor array of the unmasked path does not
-        # apply; rank nodes densely in product (= ascending code) order
-        # instead, which also makes sinks come out pre-sorted.
-        codes: List[int] = []
-        edge_lists: List[List[int]] = []
-        for code, assign, mass in self.iter_product():
-            codes.append(code)
-            edge_lists.append(self.successor_codes(code, assign, mass))
-        index = {code: rank for rank, code in enumerate(codes)}
-        succ: List[Sequence[int]] = [
-            tuple(index[child] for child in edges) if edges else ()
-            for edges in edge_lists
-        ]
-        acyclic, longest = _longest_path_over(succ)
-        sinks = tuple(codes[rank] for rank in range(len(codes)) if not succ[rank])
+        Nodes are the (mask-valid) configurations ranked in product
+        order, which is ascending code order. Each block of at most
+        ``_BLOCK_ROWS`` ranks starting at rank ``lo`` yields ``(lo,
+        codes, src, dst)``: the block's codes, and one (source rank,
+        target rank) pair per improving move. A move of miner ``i``
+        from alphabet position ``d`` to ``d'`` changes the rank by
+        ``(d' − d)·stride_i``, so targets need no code lookup. Ranks are
+        int32 while the space fits it.
+
+        The move test is :meth:`KernelGame.stable_index`'s strict
+        integer inequality. Values are int64 in the ``"int"`` lane
+        (when codes fit too) and Python integers in object arrays
+        otherwise, so every verdict is exact.
+        """
+        n = self.n_miners
+        kernel = self.kernel
+        fits = kernel_lane(kernel) == "int" and self.n_coins**n <= np.iinfo(np.int64).max
+        dtype = np.int64 if fits else object
+        alphabets = self._alphabets
+        radix = [len(alphabet) for alphabet in alphabets]
+        stride = [1] * n
+        for i in range(n - 2, -1, -1):
+            stride[i] = stride[i + 1] * radix[i + 1]
+        coin_of = [np.array(alphabet, dtype=np.int64) for alphabet in alphabets]
+        powers = np.array(kernel.powers, dtype=dtype)
+        rewards = np.array(kernel.rewards, dtype=dtype)
+        place = np.array(self._place, dtype=dtype)
+        # Ranks stay below the space size; int32 halves the edge arrays.
+        rank_type = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
+        for lo in range(0, self.size, _BLOCK_ROWS):
+            ranks = np.arange(lo, min(lo + _BLOCK_ROWS, self.size), dtype=rank_type)
+            rows = np.arange(len(ranks))
+            codes = np.zeros(len(ranks), dtype=dtype)
+            mass = np.zeros((len(ranks), self.n_coins), dtype=dtype)
+            for i in range(n):
+                coins = coin_of[i][ranks // stride[i] % radix[i]]
+                codes += coins.astype(dtype) * place[i]
+                mass[rows, coins] += powers[i]
+            src: List[np.ndarray] = []
+            dst: List[np.ndarray] = []
+            for i in range(n):
+                digit = ranks // stride[i] % radix[i]
+                cur = coin_of[i][digit]
+                mass_cur = mass[rows, cur]
+                reward_cur = rewards[cur]
+                for t, j in enumerate(alphabets[i]):
+                    # Staying put never passes: R_j·M_j > R_j·(M_j + p_i)
+                    # is false for a positive power.
+                    hit = np.flatnonzero(
+                        rewards[j] * mass_cur > reward_cur * (mass[:, j] + powers[i])
+                    )
+                    src.append(ranks[hit])
+                    dst.append(ranks[hit] + (t - digit[hit]) * stride[i])
+            yield lo, codes, np.concatenate(src), np.concatenate(dst)
+
+    def _dag_full(self) -> DagReport:
+        _, *parts = zip(*self._move_blocks())
+        codes, src, dst = (np.concatenate(part) for part in parts)
+        acyclic, longest = _longest_path(self.size, src, dst)
+        sinks = codes[np.bincount(src, minlength=self.size) == 0]
         return DagReport(
             acyclic=acyclic,
             longest_path=longest,
-            sink_codes=sinks,
-            nodes_scanned=len(codes),
+            sink_codes=tuple(sinks.tolist()),
+            nodes_scanned=self.size,
             total_configurations=self.size,
             symmetry_reduced=False,
         )
@@ -717,13 +748,14 @@ class ConfigSpace:
         index: Dict[int, int] = {}
         for assign, _, _ in self.iter_canonical():
             index[self.encode(assign)] = len(index)
-        succ: List[Sequence[int]] = [()] * len(index)
+        src: List[int] = []
+        dst: List[int] = []
         sink_codes: List[int] = []
         expanded_sinks = 0
         node = 0
         for assign, mass, multiplicity in self.iter_canonical():
             code = self.encode(assign)
-            edges: List[int] = []
+            degree = len(dst)
             for i in range(self.n_miners):
                 cur = assign[i]
                 reward_cur = rewards[cur]
@@ -739,10 +771,9 @@ class ConfigSpace:
                     values = sorted(j if p == i else assign[p] for p in indices)
                     for pos, value in zip(indices, values):
                         child += (value - assign[pos]) * place[pos]
-                    edges.append(index[child])
-            if edges:
-                succ[node] = edges
-            else:
+                    src.append(node)
+                    dst.append(index[child])
+            if len(dst) == degree:
                 expanded_sinks += multiplicity
                 if max_sinks is not None and expanded_sinks > max_sinks:
                     raise InvalidModelError(
@@ -751,7 +782,9 @@ class ConfigSpace:
                     )
                 sink_codes.extend(self.orbit_codes(assign))
             node += 1
-        acyclic, longest = _longest_path_over(succ)
+        acyclic, longest = _longest_path(
+            len(index), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        )
         sink_codes.sort()
         return DagReport(
             acyclic=acyclic,
@@ -890,41 +923,42 @@ class ConfigSpace:
         )
 
 
-def _longest_path_over(succ: Sequence[Sequence[int]]) -> Tuple[bool, Optional[int]]:
-    """(acyclic, longest path) over a flat successor array, iteratively.
+def _longest_path(
+    n_nodes: int, src: np.ndarray, dst: np.ndarray
+) -> Tuple[bool, Optional[int]]:
+    """(acyclic, longest path) of a graph given as integer edge arrays.
 
-    One DFS pass fills the whole depth array (cycle detection via
-    white/gray/black colors); the maximum is taken at the end — no
-    per-node re-walk.
+    Peels sinks level by level: level 0 is every node without
+    successors, and removing a level (out-degree set to -1) lowers its
+    predecessors' out-degrees; the nodes that reach 0 form the next
+    level. A node's level is the length of the longest path that starts
+    at it, so the longest path is the number of levels minus one. On a
+    cycle some node never reaches out-degree 0, and the answer is
+    ``(False, None)``. Repeated edges are fine: each counts once in its
+    source's out-degree and is taken back once when its target is
+    removed.
     """
-    total = len(succ)
-    color = bytearray(total)  # 0 white, 1 gray, 2 black
-    depth = [0] * total
-    for root in range(total):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack: List[List[int]] = [[root, 0]]
-        while stack:
-            frame = stack[-1]
-            node = frame[0]
-            children = succ[node]
-            if frame[1] < len(children):
-                child = children[frame[1]]
-                frame[1] += 1
-                state = color[child]
-                if state == 1:
-                    return False, None
-                if state == 0:
-                    color[child] = 1
-                    stack.append([child, 0])
-            else:
-                color[node] = 2
-                best = 0
-                for child in children:
-                    d = depth[child] + 1
-                    if d > best:
-                        best = d
-                depth[node] = best
-                stack.pop()
-    return True, max(depth) if total else 0
+    if n_nodes == 0:
+        return True, 0
+    out_degree = np.bincount(src, minlength=n_nodes)
+    # Reverse CSR: the predecessors of v are preds[starts[v]:starts[v + 1]].
+    preds = src[np.argsort(dst, kind="stable")]
+    starts = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n_nodes), out=starts[1:])
+    level = np.flatnonzero(out_degree == 0)
+    removed = 0
+    levels = 0
+    while level.size:
+        removed += level.size
+        levels += 1
+        out_degree[level] = -1
+        first = starts[level]
+        counts = starts[level + 1] - first
+        # Concatenate the level's predecessor ranges into one index.
+        ends = np.cumsum(counts)
+        index = np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
+        out_degree -= np.bincount(preds[index], minlength=n_nodes)
+        level = np.flatnonzero(out_degree == 0)
+    if removed < n_nodes:
+        return False, None
+    return True, levels - 1

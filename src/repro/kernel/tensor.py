@@ -812,7 +812,8 @@ def run_simultaneous_population(jobs: Sequence[SimultaneousJob]) -> List[Simulta
     :func:`~repro.learning.simultaneous.run_simultaneous`: per round all
     miners' best responses are evaluated against the pre-round state,
     inertia draws happen per miner-with-a-target in miner order on each
-    job's own generator, a round with no movers means convergence, and
+    job's own generator, a round in which no miner has a best response
+    means convergence (a round inertia holds entirely still counts), and
     (for ``inertia=0``) a repeated configuration proves a permanent
     cycle.
     """
@@ -960,7 +961,7 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
                     if gen.random() < p:
                         movers[gi, i] = False
 
-        idle = ~movers.any(axis=1)
+        idle = ~has_move.any(axis=1)
         if idle.any():
             for gi in np.flatnonzero(idle):
                 outcomes[owner[gi]] = SimultaneousOutcome(

@@ -72,9 +72,11 @@ def run_simultaneous(
     Each round, every miner with an improving move switches to its best
     response — simultaneously — unless inertia keeps it put (each
     unstable miner *stays* with probability ``inertia``, independently).
-    Detection: convergence = a round with no movers; cycling = a
-    configuration seen before (the dynamic is Markov for ``inertia=0``,
-    so a repeat proves a permanent cycle).
+    Detection: convergence = a round in which no miner has a best
+    response; cycling = a configuration seen before (the dynamic is
+    Markov for ``inertia=0``, so a repeat proves a permanent cycle). A
+    round in which inertia holds every unstable miner changes nothing
+    but still counts against ``max_rounds``.
     """
     if not 0.0 <= inertia < 1.0:
         raise ValueError(f"inertia must be in [0, 1), got {inertia}")
@@ -88,14 +90,16 @@ def run_simultaneous(
     configurations = [initial]
     for round_index in range(1, max_rounds + 1):
         movers: List[Tuple[Miner, Coin]] = []
+        unstable = False
         for miner in view.miners:
             target = view.best_response(miner)
             if target is None:
                 continue
+            unstable = True
             if inertia > 0.0 and rng.random() < inertia:
                 continue
             movers.append((miner, target))
-        if not movers:
+        if not unstable:
             return SimultaneousResult(
                 configurations=configurations, converged=True, cycle_start=None
             )

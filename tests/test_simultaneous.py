@@ -70,3 +70,53 @@ class TestCyclingFraction:
         game = random_game(6, 2, seed=12)
         fraction = cycling_fraction(game, starts=5, seed=13)
         assert 0.0 <= fraction <= 1.0
+
+
+class TestHeldRounds:
+    """A round in which inertia holds every unstable miner is not convergence."""
+
+    @staticmethod
+    def _cases():
+        for seed in range(200):
+            game = random_game(7, 3, seed=seed)
+            yield seed, game, random_configuration(game, seed=seed)
+
+    @pytest.mark.parametrize("backend", ["fast", "exact"])
+    def test_converged_iff_final_is_stable(self, backend):
+        for seed, game, start in self._cases():
+            result = run_simultaneous(game, start, inertia=0.5, seed=seed, backend=backend)
+            assert result.converged == game.is_stable(result.final), seed
+
+    def test_tensor_twin_matches_draw_for_draw(self):
+        import numpy as np
+
+        from repro.kernel.core import KernelGame
+        from repro.kernel.tensor import SimultaneousJob, run_simultaneous_population
+
+        jobs, refs = [], []
+        for seed, game, start in self._cases():
+            kernel = KernelGame(game)
+            refs.append((game, kernel, run_simultaneous(
+                game, start, inertia=0.5, seed=np.random.default_rng(seed)
+            )))
+            jobs.append(SimultaneousJob(
+                kernel=kernel,
+                assign=kernel.assignment_of(start),
+                rng=np.random.default_rng(seed),
+                inertia=0.5,
+            ))
+        for out, (game, kernel, ref) in zip(run_simultaneous_population(jobs), refs):
+            assert out.rounds == ref.rounds
+            assert out.converged == ref.converged
+            assert out.final_assign == tuple(kernel.assignment_of(ref.final))
+            assert out.converged == game.is_stable(ref.final)
+
+    def test_class_twin_converged_iff_stable(self):
+        from repro.kernel.classes import ClassGame, run_class_simultaneous
+
+        for seed, game, start in self._cases():
+            cgame = ClassGame.from_game(game)
+            result = run_class_simultaneous(
+                cgame, cgame.counts_of(start), inertia=0.5, seed=seed
+            )
+            assert result.converged == cgame.is_stable_counts(result.final), seed
