@@ -20,19 +20,12 @@ core, same 6-class scenario, 3 seeded runs per lane:
 ``tests/test_classes.py`` holds the exactness proof (orbit expansion
 against ConfigSpace, draw-for-draw singleton parity); these benches
 measure the identical-verdict work.
-
-Also benched: the module-level ConfigSpace choice-table cache
-(`_block_choice_table`). Same-shape spaces now share per-block choice
-tables across instances — a small win (~2% on the scan workload below,
-where the Gray walk dominates) that removes the rebuild from every
-fresh space's setup path.
 """
 
 import pytest
 
 from repro.core.game import Game
 from repro.kernel.classes import ClassGame
-from repro.kernel.space import ConfigSpace, _block_choice_table
 from repro.run import RunSpec, run_many
 
 #: Six hardware tiers (power, population weight): heavier rigs are
@@ -130,22 +123,3 @@ def test_speedup_report(benchmark):
     # minute on one core.
     assert class_million < 60.0
 
-
-def test_space_choice_table_cache(benchmark):
-    """Repeated same-shape ConfigSpace scans share choice tables via the
-    module-level cache. The win is small (~2% — the Gray walk dominates
-    this workload) but structural: a fresh space's setup no longer
-    rebuilds tables another space already computed."""
-    games = [
-        Game.create(powers=[5] * 10, reward_values=[7, 4, 3 + k]) for k in range(6)
-    ]
-
-    def scan():
-        _block_choice_table.cache_clear()
-        return [len(ConfigSpace(game).stable_codes()) for game in games]
-
-    counts = benchmark.pedantic(scan, iterations=1, rounds=1)
-    assert len(counts) == len(games)
-    info = _block_choice_table.cache_info()
-    # One miss per distinct (size, alphabet) shape, hits for every reuse.
-    assert info.misses == 1 and info.hits == len(games) - 1

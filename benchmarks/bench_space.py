@@ -26,12 +26,21 @@ nodes) and of a 10×4 hardware-restricted game, through
 ``analyze_improvement_dag(backend="space")``. The Fraction path is too
 slow at that size to run alongside, so the check there is that every
 sink is a Fraction-verified equilibrium.
+
+``symmetric_space`` tracks the orbit route: ``dag_report`` plus
+``stable_codes`` on twelve equal miners over four coins (455 count
+matrices standing for 16.7M configurations, 277,200 equilibria to
+expand) and on three classes of three miners over three coins. The
+small game is checked against its per-miner full graph; on the large
+one a sample of sinks is checked stable by the Fraction core.
 """
 
 from repro.analysis.paths import analyze_improvement_dag
 from repro.core.equilibrium import enumerate_equilibria
 from repro.core.factories import random_game
+from repro.core.game import Game
 from repro.core.restricted import RestrictedGame
+from repro.kernel.space import ConfigSpace
 from repro.util.rng import spawn_rngs
 
 GAMES = 6
@@ -139,3 +148,30 @@ def test_large_dag_space(benchmark):
     for game, analysis in zip(games, results):
         assert analysis.acyclic and analysis.longest_path >= 1
         assert analysis.sinks and all(game.is_stable(sink) for sink in analysis.sinks)
+
+
+def _symmetric_games():
+    """Twelve equal miners × 4 coins, and three classes of three × 3 coins."""
+    return [
+        Game.create([3] * 12, [5, 7, 9, 11]),
+        Game.create([1, 1, 1, 2, 2, 2, 4, 4, 4], [5, 7, 9]),
+    ]
+
+
+def test_symmetric_space(benchmark):
+    games = _symmetric_games()
+
+    def scan():
+        spaces = [ConfigSpace(game) for game in games]
+        return spaces, [(space.dag_report(), space.stable_codes()) for space in spaces]
+
+    spaces, results = benchmark(scan)
+    for game, space, (report, codes) in zip(games, spaces, results):
+        assert report.symmetry_reduced and report.acyclic
+        assert list(report.sink_codes) == codes
+        for code in codes[:5] + codes[-5:]:
+            assert game.is_stable(space.config_of(code))
+    big, small = results
+    assert len(big[1]) == 277_200
+    full = spaces[1]._dag(orbits=False)
+    assert (full.longest_path, full.sink_codes) == (small[0].longest_path, small[0].sink_codes)

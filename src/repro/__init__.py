@@ -94,8 +94,8 @@ one core; ``run_many`` routes ``RunSpec(kind="classes")`` cells
 through it, and build one ``from_spec([(power, allowed, count), …])``
 without ever materializing miners. Stable count profiles
 orbit-expand to bit-for-bit the per-miner equilibrium sets
-(``tests/test_classes.py`` asserts this against
-:class:`~repro.kernel.space.ConfigSpace` on hundreds of games).
+(``tests/test_classes.py`` asserts this against the per-miner full
+graph of :class:`~repro.kernel.space.ConfigSpace` on hundreds of games).
 
 Exact enumeration
 ~~~~~~~~~~~~~~~~~
@@ -107,12 +107,12 @@ refuter ``find_nonzero_four_cycle`` — default to ``backend="space"``:
 as a base-``|C|`` integer code, builds the full graph's improving moves
 for blocks of nodes at once with numpy, finds the longest path by
 peeling sinks, answers every query through the kernel's integer
-cross-multiplication, and enumerates only canonical orbit
-representatives when the game has interchangeable miners (a
-12-equal-miner × 3-coin game shrinks from 531,441 configurations to
-91 orbits). Results — content and order, after orbit expansion — are
-bit-for-bit those of ``backend="exact"``, the Fraction brute force,
-which ``tests/test_space_parity.py`` asserts on ~100 games. Measured:
+cross-multiplication, and, when the game has interchangeable miners,
+scans one class count matrix per orbit instead (a 12-equal-miner ×
+3-coin game shrinks from 531,441 configurations to 91 orbits).
+Results — content and order, after orbit expansion — are bit-for-bit
+those of ``backend="exact"``, the Fraction brute force, which
+``tests/test_space_parity.py`` asserts on ~100 games. Measured:
 the seed-size Theorem 1 workload (six 5×2 games) runs ~55× faster
 (176 ms → 3.2 ms), a 12×2 game ~440× (13.4 s → 0.03 s); practical
 scan limits rose from 100k Fraction nodes to 2M integer-code nodes.
@@ -123,9 +123,8 @@ game (``Game(..., allowed=mask)``, ``game.with_allowed(mask)``, or
 <repro.core.restricted.RestrictedGame.by_algorithm>` for hardware
 classes), and on a masked game all four entry points analyze the
 paper's asymmetric case exactly: each miner's digit becomes an
-alphabet of its allowed coin indices, both walks visit only mask-valid
-codes with the same O(1) incremental updates, and symmetry merges only
-miners
+alphabet of its allowed coin indices, every scan visits only mask-valid
+codes, and symmetry merges only miners
 with equal power *and* equal allowed set. Restricted equilibrium
 sets, the restricted improvement DAG (Theorem 1 survives — the
 restriction only removes edges), exact longest legal paths, and

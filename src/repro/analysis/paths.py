@@ -76,16 +76,15 @@ def analyze_improvement_dag(
     *,
     limit: int = _SPACE_LIMIT,
     backend: str = "space",
-    symmetry: bool = True,
 ) -> DagAnalysis:
     """Acyclicity, exact longest path and all sinks, in one pass.
 
     With ``backend="space"`` the scan runs at the integer-code level
-    (no Configuration or Fraction per node); when ``symmetry`` is on
-    and the game has interchangeable miners, only canonical orbit
-    representatives are scanned and ``limit`` guards that (much
-    smaller) count. ``backend="exact"`` materializes the
-    Configuration-keyed graph — same answers, for audits and parity.
+    (no Configuration or Fraction per node); when the game has
+    interchangeable miners, one count matrix per orbit is scanned and
+    ``limit`` guards that (much smaller) count. ``backend="exact"``
+    materializes the Configuration-keyed graph — same answers, for
+    audits and parity.
 
     On a masked game the analysis covers the *restricted* improvement
     DAG — mask-valid nodes, legal better-response edges only — whose
@@ -109,11 +108,10 @@ def analyze_improvement_dag(
         )
     from repro.kernel.space import ConfigSpace
 
-    space = ConfigSpace(game, symmetry=symmetry)
-    scanned = space.orbit_count() if space.symmetry else space.size
-    if scanned > limit:
+    space = ConfigSpace(game)
+    if space.scan_size > limit:
         raise InvalidModelError(
-            f"improvement DAG has {scanned} nodes to scan, above the limit {limit}"
+            f"improvement DAG has {space.scan_size} nodes to scan, above the limit {limit}"
         )
     report = space.dag_report(max_sinks=limit)
     return DagAnalysis(
@@ -248,7 +246,7 @@ def reachable_equilibria(
             )
         from repro.kernel.space import ConfigSpace
 
-        space = ConfigSpace(game, symmetry=False)
+        space = ConfigSpace(game)
         return [
             space.config_of(code)
             for code in space.reachable_sink_codes(space.code_of(start))

@@ -97,7 +97,6 @@ def enumerate_equilibria(
     *,
     limit: Optional[int] = None,
     backend: str = "space",
-    symmetry: bool = True,
 ) -> List[Configuration]:
     """All pure equilibria of the game, by exhaustive search.
 
@@ -107,15 +106,14 @@ def enumerate_equilibria(
     answer.
 
     ``backend="space"`` (the default) scans integer configuration codes
-    through :class:`repro.kernel.space.ConfigSpace` — a Gray-code walk
-    with O(1) mass updates and integer stability checks, plus
-    symmetry reduction (one canonical representative per orbit,
-    expanded afterwards) when ``symmetry`` is on and the game has
-    interchangeable miners. When symmetry reduction applies, the scan
-    count the ``limit`` guards is the *orbit* count, so symmetric games
-    far beyond ``|C|^n ≤ limit`` stay enumerable. The result — content
-    and order — is identical to ``backend="exact"``, the original
-    Fraction brute force over Configuration objects.
+    through :class:`repro.kernel.space.ConfigSpace`: numpy blocks of
+    nodes tested with integer stability checks or, when the game has
+    interchangeable miners, one count matrix per orbit (expanded
+    afterwards). On the orbit route the scan count the ``limit`` guards
+    is the *orbit* count, so symmetric games far beyond ``|C|^n ≤
+    limit`` stay enumerable. The result — content and order — is
+    identical to ``backend="exact"``, the original Fraction brute force
+    over Configuration objects.
 
     On a masked game the equilibria of the *restricted* game are
     enumerated: both backends scan only mask-valid configurations, and
@@ -136,11 +134,10 @@ def enumerate_equilibria(
         )
     from repro.kernel.space import ConfigSpace
 
-    space = ConfigSpace(game, symmetry=symmetry)
-    scanned = space.orbit_count() if space.symmetry else space.size
-    if limit is not None and scanned > limit:
+    space = ConfigSpace(game)
+    if limit is not None and space.scan_size > limit:
         raise InvalidModelError(
-            f"game has {scanned} configurations to scan, above the scan limit "
+            f"game has {space.scan_size} configurations to scan, above the scan limit "
             f"{limit}; enumeration is only for small games"
         )
     # The limit also caps the orbit-expanded result: a symmetric game
@@ -168,7 +165,7 @@ def iter_equilibria(game: Game, *, backend: str = "space") -> Iterator[Configura
         )
     from repro.kernel.space import ConfigSpace
 
-    yield from ConfigSpace(game, symmetry=False).iter_equilibria()
+    yield from ConfigSpace(game).iter_equilibria()
 
 
 def two_distinct_equilibria(game: Game) -> Tuple[Configuration, Configuration]:

@@ -189,7 +189,7 @@ def find_nonzero_four_cycle(
     if backend == "space":
         from repro.kernel.space import ConfigSpace
 
-        space = ConfigSpace(game, symmetry=False)
+        space = ConfigSpace(game)
         witness = space.four_cycle_witness()
         if witness is None:
             return None

@@ -54,10 +54,10 @@ def _audit_all_edges(game) -> tuple:
     ``H(s) < H(s')`` on every better-response edge; Configurations are
     materialized only to evaluate the Fraction potential comparator.
     """
-    space = ConfigSpace(game, symmetry=False)
+    space = ConfigSpace(game)
     edges = 0
     violations = 0
-    for code, assign, mass in space.iter_gray():
+    for code, assign, mass in space.iter_product():
         successors = space.successor_codes(code, assign, mass)
         if not successors:
             continue

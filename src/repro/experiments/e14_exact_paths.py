@@ -11,7 +11,7 @@ codes, numpy-blocked move building, sink peeling), which raised the default
 size from 5 to 10 miners at the same time budget. A second, symmetric
 section drives home the symmetry reduction: equal-power games are
 analyzed through their orbit quotient, so spaces of hundreds of
-thousands of configurations collapse to a few dozen canonical nodes.
+thousands of configurations collapse to a few dozen count matrices.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def run(
             [3] * symmetric_miners,
             [5 + 2 * i for i in range(symmetric_coins)],
         )
-        sym = ConfigSpace(sym_game, symmetry=True).dag_report()
+        sym = ConfigSpace(sym_game).dag_report()
         acyclic_all &= sym.acyclic
         table.add_row(
             f"sym n={symmetric_miners} |C|={symmetric_coins}",

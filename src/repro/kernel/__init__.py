@@ -15,9 +15,10 @@ The kernel is the performance seam of the library:
   with per-coin integer masses maintained incrementally in O(1) per
   step.
 * :class:`~repro.kernel.space.ConfigSpace` is the exact *enumeration*
-  engine: base-``|C|`` integer configuration codes, Gray-code walks
-  with O(1) mass updates, equal-power symmetry reduction, and flat
-  successor arrays for the Theorem 1 DAG analyses — the backbone of
+  engine: base-``|C|`` integer configuration codes, numpy-blocked
+  improving-move builders over the full graph or, when miners repeat a
+  (power, mask) class, over class count matrices (one node per orbit),
+  and a product-order odometer for per-node work — the backbone of
   ``enumerate_equilibria``, ``analyze_improvement_dag`` and the
   Proposition 1 refuter at ``backend="space"`` (their default).
 * :mod:`repro.kernel.classes` compresses interchangeable miners —

@@ -4,9 +4,9 @@ Every dynamic in the library — better-response, simultaneous, noisy,
 enumeration — only ever distinguishes miners up to their
 (power, allowed-coin-mask) *class*: two miners with equal power and
 equal alphabet see identical payoffs and identical move legality at
-every state. :class:`~repro.kernel.space.ConfigSpace` already exploits
-this as an enumeration trick (symmetry orbits); this module promotes it
-to the *state representation*. A configuration of a
+every state. This module makes the class the *state representation*,
+and :class:`~repro.kernel.space.ConfigSpace` runs its orbit-level
+scans (equilibria, the orbit-quotient DAG) on it. A configuration of a
 :class:`ClassGame` is an integer count matrix ``counts[class][coin]``
 instead of a coin per miner, so the cost of a better-response scan is
 ``O(#classes · #coins²)`` regardless of population — a million miners
@@ -42,13 +42,15 @@ Three entry layers:
     compressed run per cell repetition.
 
 Parity is the wall: ``tests/test_classes.py`` checks equilibrium sets
-and convergence verdicts against :class:`ConfigSpace` /
-:class:`KernelView` after orbit expansion, following the differential
-pattern of the earlier kernels.
+and convergence verdicts against the Fraction brute force and
+:class:`KernelView` after orbit expansion, and
+``tests/test_orbit_route.py`` checks :class:`ConfigSpace`'s orbit
+route against its per-miner full graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -61,6 +63,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro._numeric import Number, multinomial, to_positive_fraction
@@ -133,8 +136,8 @@ class ClassGame:
     """A game over miner *classes*: (power, alphabet, population) triples.
 
     Construct with :meth:`from_game` (compresses a :class:`Game`, masked
-    or not — classes are exactly the symmetry blocks of
-    :class:`~repro.kernel.space.ConfigSpace`, in first-miner order) or
+    or not — classes are :attr:`KernelGame.classes`, in first-miner
+    order) or
     :meth:`from_spec` (directly from ``[(power, allowed, count), ...]``
     with populations up to 10⁶ and beyond — no per-miner objects are
     ever materialized).
@@ -164,6 +167,7 @@ class ClassGame:
         "members",
         "class_of",
         "_allowed_sets",
+        "_rows",
     )
 
     def __init__(
@@ -209,6 +213,7 @@ class ClassGame:
         self._allowed_sets: Tuple[frozenset, ...] = tuple(
             frozenset(alphabet) for alphabet in self.alphabets
         )
+        self._rows: List[Optional[Tuple[Tuple[int, ...], ...]]] = [None] * self.n_classes
         recorder = get_recorder()
         if recorder.enabled:
             recorder.count("classes.compressions")
@@ -224,17 +229,21 @@ class ClassGame:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_game(cls, game: Game) -> "ClassGame":
+    def from_game(cls, game_or_kernel: Union[Game, KernelGame]) -> "ClassGame":
         """Compress a per-miner game into its (power, alphabet) classes.
 
         Classes are :attr:`KernelGame.classes` — miners grouped on
         (kernel-scaled power, allowed-coin alphabet), ordered by first
-        miner — which are also the symmetry blocks of
-        :class:`~repro.kernel.space.ConfigSpace`, so class count
-        matrices and canonical orbit representatives are two encodings
-        of the same objects.
+        miner. Given a :class:`KernelGame`, the class game reuses it;
+        this is how :class:`~repro.kernel.space.ConfigSpace` runs its
+        orbit-level scans on count matrices.
         """
-        kernel = KernelGame(game)
+        kernel = (
+            game_or_kernel
+            if isinstance(game_or_kernel, KernelGame)
+            else KernelGame(game_or_kernel)
+        )
+        game = kernel.game
         miner_alphabets = kernel.alphabets
         members = kernel.classes
         miners = game.miners
@@ -430,8 +439,8 @@ class ClassGame:
 
     def assignment_of_counts(self, counts: Sequence[Sequence[int]]) -> List[int]:
         """The canonical per-miner assignment of a count matrix:
-        within each class block, coin indices ascending — exactly the
-        :meth:`ConfigSpace.iter_canonical` representative of the orbit."""
+        within each class, coin indices ascending over its members —
+        the smallest code in the matrix's orbit."""
         self._require_game()
         assert self.members is not None
         assign = [0] * sum(self.populations)
@@ -614,32 +623,24 @@ class ClassGame:
         return total
 
     def iter_profiles(self) -> Iterator[Profile]:
-        """All mask-valid count matrices, as immutable snapshots."""
-        for counts, _ in self._iter_states():
-            yield _profile(counts)
+        """All mask-valid count matrices, as immutable snapshots, in
+        product order over :meth:`class_rows` (class 0 outermost)."""
+        return itertools.product(*(self.class_rows(k) for k in range(self.n_classes)))
 
-    def _iter_states(self) -> Iterator[Tuple[List[List[int]], List[int]]]:
-        """Walk all count matrices with a shared mutable (counts, mass)."""
-        counts = [[0] * self.n_coins for _ in range(self.n_classes)]
-        mass = [0] * self.n_coins
-
-        def rec(k: int) -> Iterator[Tuple[List[List[int]], List[int]]]:
-            if k == self.n_classes:
-                yield counts, mass
-                return
+    def class_rows(self, k: int) -> Tuple[Tuple[int, ...], ...]:
+        """Every count row of class *k*: its population split over its
+        alphabet, in :func:`_compositions` order."""
+        rows = self._rows[k]
+        if rows is None:
             alphabet = self.alphabets[k]
-            power = self.powers[k]
-            row = counts[k]
+            table = []
             for split in _compositions(self.populations[k], len(alphabet)):
+                row = [0] * self.n_coins
                 for j, value in zip(alphabet, split):
                     row[j] = value
-                    mass[j] += value * power
-                yield from rec(k + 1)
-                for j, value in zip(alphabet, split):
-                    row[j] = 0
-                    mass[j] -= value * power
-
-        yield from rec(0)
+                table.append(tuple(row))
+            rows = self._rows[k] = tuple(table)
+        return rows
 
     def stable_profiles(self, *, max_profiles: Optional[int] = None) -> List[Profile]:
         """All equilibrium count matrices, by exhaustive exact scan.
@@ -653,11 +654,7 @@ class ClassGame:
                 f"{self.profile_count()} class profiles exceed the "
                 f"{max_profiles} scan limit"
             )
-        return [
-            _profile(counts)
-            for counts, mass in self._iter_states()
-            if self.is_stable_counts(counts, mass)
-        ]
+        return [profile for profile in self.iter_profiles() if self.is_stable_counts(profile)]
 
     def orbit_size(self, counts: Sequence[Sequence[int]]) -> int:
         """Per-miner configurations represented by one count matrix —

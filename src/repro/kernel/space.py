@@ -8,41 +8,39 @@ path bound, Proposition 1's 4-cycle refuter — without building a
 * every configuration is a **base-``|C|`` integer code** (miner 0 is
   the most significant digit, so numeric code order is exactly the
   order of :meth:`repro.core.game.Game.all_configurations`);
-* **full-graph scans are numpy-blocked**: the improvement DAG
-  (:meth:`ConfigSpace.dag_report` without symmetry) and the equilibrium
-  set (:meth:`ConfigSpace.stable_codes` without symmetry) come from one
-  move builder that ranks nodes in product order, fills their mass
-  vectors and tests every (miner, coin) move on a block of up to
-  ``_BLOCK_ROWS`` nodes at a time, with
+* miners with **identical power and identical allowed-coin set are
+  interchangeable** (:attr:`~repro.kernel.core.KernelGame.classes`).
+  When some class has two or more miners, every orbit-level answer
+  (equilibria, acyclicity, longest path, sinks) runs on the count
+  matrices of a :class:`~repro.kernel.classes.ClassGame` built from the
+  space's own kernel: one node per orbit, ``Π_k C(n_k+|A_k|-1,
+  |A_k|-1)`` over classes of ``n_k`` miners with alphabet ``A_k``, and
+  each stable orbit expanded to its per-miner codes at the end;
+* otherwise the **full graph is numpy-blocked**: the improvement DAG
+  and the equilibrium set come from one move builder that ranks nodes
+  in product order, fills their mass vectors and tests every (miner,
+  coin) move on a block of up to ``_BLOCK_ROWS`` nodes at a time, with
   :meth:`~repro.kernel.core.KernelGame.stable_index`'s strict integer
   inequality — on int64 in the kernel's ``"int"`` lane, on Python
-  integers in object arrays otherwise;
-* the **longest path** comes from peeling sinks level by level over a
-  reverse CSR of the edges (:func:`_longest_path`); a node that is
-  never peeled proves a cycle;
-* the **Gray-code walk** (one miner changes coin per step, O(1) mass
-  and code updates) and the **product-order odometer** remain for
-  per-node work in Python: E4's edge audit, :meth:`iter_equilibria`,
-  reachability and the 4-cycle refuter, whose first witness must
-  follow the seed's scan order;
-* miners with **identical power and identical allowed-coin set are
-  interchangeable** (:attr:`~repro.kernel.core.KernelGame.classes`),
-  so orbit-level scans (equilibria, acyclicity, longest path, sinks)
-  enumerate one *canonical representative* per orbit — coin indices
-  sorted within each block — with multiplicities, shrinking ``|C|^n``
-  to ``Π_b C(|b|+|A_b|-1, |A_b|-1)`` over blocks with alphabet
-  ``A_b``. The quotient graph's canonical successors are built in
-  Python and peeled by the same :func:`_longest_path`.
+  integers in object arrays otherwise. The orbit quotient is built the
+  same way over count matrices;
+* the **longest path** of either graph comes from peeling sinks level
+  by level over a reverse CSR of the edges (:func:`_longest_path`); a
+  node that is never peeled proves a cycle;
+* the **product-order odometer** remains for per-node work in Python:
+  E4's edge audit, :meth:`iter_equilibria`, reachability and the
+  4-cycle refuter, whose first witness must follow the seed's scan
+  order.
 
 The engine is **mask-aware**: a masked game's per-miner *allowed-coin*
 sets (the paper's asymmetric case — hardware that can only mine a
 subset of coins) turn each miner's digit into its own **alphabet** of
-ascending coin indices. The move builder and both walks visit only
+ascending coin indices. The move builders and the odometer visit only
 mask-valid assignments, every stability and successor test scans the
-kernel's per-miner ``alphabets``, and symmetry blocks key on (power,
-alphabet) — permuting two miners is a better-response-graph
-automorphism only if both their powers *and* their allowed sets match,
-which keeps the orbit-quotient DAG analysis sound under restriction.
+kernel's per-miner ``alphabets``, and classes key on (power, alphabet)
+— permuting two miners is a better-response-graph automorphism only if
+both their powers *and* their allowed sets match, which keeps the
+orbit-quotient DAG analysis sound under restriction.
 
 ``Configuration`` objects are materialized only at API boundaries
 (returned equilibria, graph sinks, 4-cycle witnesses).
@@ -51,20 +49,9 @@ which keeps the orbit-quotient DAG analysis sound under restriction.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from math import prod
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,60 +59,14 @@ from repro._numeric import multinomial
 from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
+from repro.kernel.classes import ClassGame, Profile
 from repro.kernel.core import KernelGame
 from repro.kernel.tensor import kernel_lane
 from repro.obs.recorder import get_recorder
 
-#: Rows per block of :meth:`ConfigSpace._move_blocks`; bounds the
-#: builder's temporaries whatever the size of the space.
+#: Rows per block of the move builders; bounds their temporaries
+#: whatever the size of the space.
 _BLOCK_ROWS = 1 << 16
-
-
-def _distinct_permutations(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """All distinct orderings of a (sorted) multiset of coin indices."""
-    counts: Dict[int, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    keys = sorted(counts)
-    length = len(values)
-    prefix: List[int] = []
-
-    def rec() -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for key in keys:
-            if counts[key]:
-                counts[key] -= 1
-                prefix.append(key)
-                yield from rec()
-                prefix.pop()
-                counts[key] += 1
-
-    yield from rec()
-
-
-@lru_cache(maxsize=1024)
-def _block_choice_table(
-    size: int, alphabet: Tuple[int, ...]
-) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]:
-    """Choice table for one symmetry block: every non-decreasing
-    coin-index tuple of length *size* drawn from *alphabet*, its
-    per-coin counts and its orbit multiplicity (the
-    :func:`~repro._numeric.multinomial` coefficient, as in
-    :meth:`ClassGame.orbit_size`).
-
-    The table depends only on (block size, alphabet) — not on which
-    miners form the block or which game owns it — so it is cached at
-    module level and shared across every :class:`ConfigSpace` instance:
-    repeated ``dag_report``/``stable_codes`` calls on freshly built
-    spaces over same-shape games skip the rebuild entirely.
-    """
-    block = []
-    for combo in itertools.combinations_with_replacement(alphabet, size):
-        counts = Counter(combo)
-        block.append((combo, tuple(sorted(counts.items())), multinomial(counts.values())))
-    return tuple(block)
 
 
 @dataclass(frozen=True)
@@ -135,8 +76,8 @@ class DagReport:
     ``longest_path`` is ``None`` when a cycle was found (which Theorem 1
     forbids — it would indicate a payoff-model bug). ``sink_codes`` are
     full-space configuration codes in ascending (= product) order, with
-    orbits expanded when symmetry reduction was used, so they always
-    denote the complete set of pure (restricted) equilibria.
+    orbits expanded on the orbit route (``symmetry_reduced``), so they
+    always denote the complete set of pure (restricted) equilibria.
     ``total_configurations`` counts *mask-valid* configurations when the
     space is restricted.
     """
@@ -152,24 +93,19 @@ class DagReport:
 class ConfigSpace:
     """An exact, index-level view of a game's configuration space.
 
-    Scans never allocate Configurations or Fractions. Full-graph scans
-    work on numpy blocks of nodes; the walks' per-node state is one
+    Scans never allocate Configurations or Fractions. Graph scans work
+    on numpy blocks of nodes; the odometer's per-node state is one
     ``assign`` list (coin index per miner) and one integer ``mass``
-    list (scaled coin power), both mutated in place by the walk
-    generators — callers must copy anything they keep.
+    list (scaled coin power), both mutated in place by
+    :meth:`iter_product` — callers must copy anything they keep.
 
     On a masked game codes remain full-space base-``|C|`` codes, but
-    the walks visit only mask-valid assignments, ``size`` counts only
+    the scans visit only mask-valid assignments, ``size`` counts only
     those, and all stability / successor / cycle queries consult the
     mask.
     """
 
-    def __init__(
-        self,
-        game_or_kernel: Union[Game, KernelGame],
-        *,
-        symmetry: bool = True,
-    ):
+    def __init__(self, game_or_kernel: Union[Game, KernelGame]):
         kernel = (
             game_or_kernel
             if isinstance(game_or_kernel, KernelGame)
@@ -185,37 +121,31 @@ class ConfigSpace:
             self.n_coins ** (self.n_miners - 1 - i) for i in range(self.n_miners)
         ]
         # Per-miner digit alphabets: the ascending coin indices each
-        # miner may sit on. An unmasked game has no per-miner sets, so
-        # the unrestricted paths below stay byte-for-byte the unmasked
-        # code.
-        self._allowed_idx = kernel.allowed
+        # miner may sit on.
         self._alphabets = kernel.alphabets
+        self.masked: bool = kernel.allowed is not None
         self._allowed_sets: Optional[Tuple[FrozenSet[int], ...]] = (
-            None
-            if self._allowed_idx is None
-            else tuple(frozenset(a) for a in self._allowed_idx)
+            tuple(frozenset(a) for a in kernel.allowed) if self.masked else None
         )
-        self.masked: bool = self._allowed_idx is not None
-        size = 1
-        for alphabet in self._alphabets:
-            size *= len(alphabet)
         #: Number of (mask-valid) configurations; ``|C|^n`` unmasked.
-        self.size: int = size
-        # Symmetry blocks: the kernel's (scaled power, alphabet) classes.
-        # Two miners generate a graph automorphism only when both match
-        # — equal power makes their payoffs interchangeable, equal
-        # alphabets make the *legality* of every move interchangeable.
-        # Only blocks of size ≥ 2 generate symmetry.
-        self._blocks: List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = [
-            (indices, kernel.powers[indices[0]], self._alphabets[indices[0]])
-            for indices in kernel.classes
-        ]
-        self._block_of: Tuple[int, ...] = kernel.class_of
-        self.has_symmetry: bool = any(len(indices) > 1 for indices, _, _ in self._blocks)
-        self.symmetry = symmetry and self.has_symmetry
-        self._block_choices: Optional[
-            List[Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]]
-        ] = None
+        self.size: int = prod(len(alphabet) for alphabet in self._alphabets)
+        #: Whether some (power, alphabet) class has two or more miners,
+        #: which routes orbit-level answers through count matrices.
+        self.has_symmetry: bool = any(len(indices) > 1 for indices in kernel.classes)
+        self._classes: Optional[ClassGame] = None
+        self._parts: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
+
+    @property
+    def scan_size(self) -> int:
+        """Nodes an equilibrium or DAG scan visits: one per orbit when
+        some class repeats, else one per configuration (:attr:`size`)."""
+        return self._class_game().profile_count() if self.has_symmetry else self.size
+
+    def _class_game(self) -> ClassGame:
+        """The class kernel over this space's own kernel, built on first use."""
+        if self._classes is None:
+            self._classes = ClassGame.from_game(self.kernel)
+        return self._classes
 
     # ------------------------------------------------------------------
     # Codes ↔ configurations
@@ -270,150 +200,25 @@ class ConfigSpace:
     # Walks (in-place state; copy before keeping)
     # ------------------------------------------------------------------
 
-    def iter_gray(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """Walk all (mask-valid) codes in reflected mixed-radix Gray order.
-
-        Exactly one miner changes coin between consecutive nodes, so
-        ``mass`` and ``code`` update in O(1) per step. Under a mask each
-        miner's digit runs over its own alphabet of allowed coin
-        indices (per-miner radices); the Gray walk operates on digit
-        *positions*, so one ±1 digit step is still one coin change.
-        Yields ``(code, assign, mass)`` with *shared mutable* lists.
-        """
-        if self._allowed_idx is not None:
-            yield from self._iter_gray_masked()
-            return
-        n, k = self.n_miners, self.n_coins
-        powers = self.kernel.powers
-        place = self._place
-        assign = [0] * n
-        mass = [0] * k
-        mass[0] = sum(powers)
-        code = 0
-        if k == 1:
-            yield code, assign, mass
-            return
-        # Knuth TAOCP 7.2.1.1, Algorithm H (loopless reflected mixed-radix
-        # Gray code), specialized to a uniform radix k.
-        focus = list(range(n + 1))
-        direction = [1] * n
-        while True:
-            yield code, assign, mass
-            j = focus[0]
-            focus[0] = 0
-            if j == n:
-                return
-            old = assign[j]
-            new = old + direction[j]
-            assign[j] = new
-            power = powers[j]
-            mass[old] -= power
-            mass[new] += power
-            code += (new - old) * place[j]
-            if new == 0 or new == k - 1:
-                direction[j] = -direction[j]
-                focus[j] = focus[j + 1]
-                focus[j + 1] = j + 1
-
-    def _iter_gray_masked(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """Algorithm H over per-miner alphabets (mask-valid codes only).
-
-        Digits with a single-coin alphabet never change, so the walk
-        runs over the *active* miners only; digit positions map to coin
-        indices through each miner's alphabet, keeping every update
-        O(1).
-        """
-        n = self.n_miners
-        powers = self.kernel.powers
-        place = self._place
-        alphabets = self._alphabets
-        assign = [alphabet[0] for alphabet in alphabets]
-        mass = [0] * self.n_coins
-        for i, j in enumerate(assign):
-            mass[j] += powers[i]
-        code = sum(assign[i] * place[i] for i in range(n))
-        active = [i for i in range(n) if len(alphabets[i]) > 1]
-        if not active:
-            yield code, assign, mass
-            return
-        m = len(active)
-        digit = [0] * m
-        direction = [1] * m
-        focus = list(range(m + 1))
-        while True:
-            yield code, assign, mass
-            t = focus[0]
-            focus[0] = 0
-            if t == m:
-                return
-            i = active[t]
-            alphabet = alphabets[i]
-            d = digit[t] + direction[t]
-            digit[t] = d
-            old = assign[i]
-            new = alphabet[d]
-            assign[i] = new
-            power = powers[i]
-            mass[old] -= power
-            mass[new] += power
-            code += (new - old) * place[i]
-            if d == 0 or d == len(alphabet) - 1:
-                direction[t] = -direction[t]
-                focus[t] = focus[t + 1]
-                focus[t + 1] = t + 1
-
     def iter_product(self) -> Iterator[Tuple[int, List[int], List[int]]]:
         """Walk all (mask-valid) codes in ascending (product) order.
 
         This is the seed's scan order: ascending code order equals
         lexicographic order on assignments, and — because alphabets are
         ascending coin indices — equals the product order over
-        per-miner allowed sets for restricted games. The odometer
-        changes amortized O(1) digits per step, so ``mass`` is still
-        maintained incrementally. Yields shared mutable lists.
+        per-miner allowed sets for restricted games. The odometer runs
+        each miner's digit over its alphabet and changes amortized O(1)
+        digits per step, so ``mass`` is maintained incrementally.
+        Yields ``(code, assign, mass)`` with *shared mutable* lists.
         """
-        if self._allowed_idx is not None:
-            yield from self._iter_product_masked()
-            return
-        n, k = self.n_miners, self.n_coins
-        powers = self.kernel.powers
-        place = self._place
-        assign = [0] * n
-        mass = [0] * k
-        mass[0] = sum(powers)
-        code = 0
-        last = k - 1
-        while True:
-            yield code, assign, mass
-            i = n - 1
-            while i >= 0 and assign[i] == last:
-                power = powers[i]
-                mass[last] -= power
-                mass[0] += power
-                code -= last * place[i]
-                assign[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            old = assign[i]
-            assign[i] = old + 1
-            power = powers[i]
-            mass[old] -= power
-            mass[old + 1] += power
-            code += place[i]
-
-    def _iter_product_masked(self) -> Iterator[Tuple[int, List[int], List[int]]]:
-        """The odometer over per-miner alphabets (digit → alphabet coin)."""
         n = self.n_miners
         powers = self.kernel.powers
         place = self._place
         alphabets = self._alphabets
         digit = [0] * n
         assign = [alphabet[0] for alphabet in alphabets]
-        mass = [0] * self.n_coins
-        for i, j in enumerate(assign):
-            mass[j] += powers[i]
-        code = sum(assign[i] * place[i] for i in range(n))
+        mass = self.kernel.mass_of(assign)
+        code = self.encode(assign)
         while True:
             yield code, assign, mass
             i = n - 1
@@ -440,100 +245,8 @@ class ConfigSpace:
             code += (new - old) * place[i]
 
     # ------------------------------------------------------------------
-    # Symmetry: canonical orbit representatives
+    # Successors (index level)
     # ------------------------------------------------------------------
-
-    def orbit_count(self) -> int:
-        """Number of canonical representatives under (power, mask) symmetry."""
-        total = 1
-        for indices, _, alphabet in self._blocks:
-            m = len(alphabet)
-            total *= comb(len(indices) + m - 1, m - 1)
-        return total
-
-    def _choices(
-        self,
-    ) -> List[Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]]:
-        """Per block: the :func:`_block_choice_table` for (size, alphabet).
-
-        Tables are keyed on (block size, alphabet) in a module-level
-        cache shared across instances; this method only assembles the
-        per-block list once per space.
-        """
-        if self._block_choices is None:
-            self._block_choices = [
-                _block_choice_table(len(indices), alphabet)
-                for indices, _, alphabet in self._blocks
-            ]
-        return self._block_choices
-
-    def iter_canonical(self) -> Iterator[Tuple[List[int], List[int], int]]:
-        """Walk one canonical representative per symmetry orbit.
-
-        Canonical means coin indices are non-decreasing along each
-        equal-power-equal-mask block (in miner order); every block
-        member shares the block's alphabet, so every orbit member is
-        mask-valid. Yields ``(assign, mass, orbit_size)`` with shared
-        mutable ``assign``/``mass``; the mass is maintained
-        incrementally per block choice.
-        """
-        blocks = self._blocks
-        choices = self._choices()
-        n_blocks = len(blocks)
-        assign = [0] * self.n_miners
-        mass = [0] * self.n_coins
-
-        def rec(b: int, mult: int) -> Iterator[Tuple[List[int], List[int], int]]:
-            if b == n_blocks:
-                yield assign, mass, mult
-                return
-            indices, power, _ = blocks[b]
-            for combo, counts, m in choices[b]:
-                for pos, j in zip(indices, combo):
-                    assign[pos] = j
-                for j, c in counts:
-                    mass[j] += c * power
-                yield from rec(b + 1, mult * m)
-                for j, c in counts:
-                    mass[j] -= c * power
-
-        yield from rec(0, 1)
-
-    def canonical_code(self, assign: Sequence[int]) -> int:
-        """The code of the canonical representative of ``assign``'s orbit."""
-        place = self._place
-        code = 0
-        for indices, _, _ in self._blocks:
-            values = sorted(assign[i] for i in indices)
-            for pos, value in zip(indices, values):
-                code += value * place[pos]
-        return code
-
-    def orbit_codes(self, assign: Sequence[int]) -> List[int]:
-        """All full-space codes in the symmetry orbit of ``assign``."""
-        place = self._place
-        per_block: List[List[int]] = []
-        for indices, _, _ in self._blocks:
-            values = sorted(assign[i] for i in indices)
-            block_codes = [
-                sum(value * place[pos] for pos, value in zip(indices, perm))
-                for perm in _distinct_permutations(values)
-            ]
-            per_block.append(block_codes)
-        return [sum(parts) for parts in itertools.product(*per_block)]
-
-    # ------------------------------------------------------------------
-    # Stability and successors (index level)
-    # ------------------------------------------------------------------
-
-    def is_stable_state(self, assign: Sequence[int], mass: Sequence[int]) -> bool:
-        """Early-exit (restricted) stability of an (assign, mass) state.
-
-        Delegates to :meth:`KernelGame.stable_index`, the single home
-        of the stability cross-multiplication, passing the mask's
-        candidate lists (``None`` when unrestricted).
-        """
-        return self.kernel.stable_index(assign, mass)
 
     def successor_codes(
         self, code: int, assign: Sequence[int], mass: Sequence[int]
@@ -572,49 +285,35 @@ class ConfigSpace:
     def stable_codes(self, *, max_codes: Optional[int] = None) -> List[int]:
         """Codes of all pure (restricted) equilibria, ascending.
 
-        With symmetry reduction only canonical representatives are
-        stability-checked; stable orbits are then expanded to all their
-        member codes, so the result is identical to a full scan.
-        ``max_codes`` caps the *expanded* result size — large symmetric
-        games can have few orbits but combinatorially many equilibria,
-        and the cap turns that into :class:`InvalidModelError` instead
-        of an unbounded expansion.
+        Stable means no improving move: the sinks of the orbit quotient
+        graph, expanded to every code of their orbits, when some class
+        repeats; otherwise the sinks of the full graph. ``max_codes``
+        caps the result on both routes — a symmetric game can have few
+        stable orbits but combinatorially many equilibria — and raises
+        :class:`InvalidModelError` beyond it, before any orbit is
+        expanded.
         """
-        if self.symmetry:
-            codes: List[int] = []
-            expanded = 0
-            for assign, mass, multiplicity in self.iter_canonical():
-                if self.is_stable_state(assign, mass):
-                    expanded += multiplicity
-                    if max_codes is not None and expanded > max_codes:
-                        raise InvalidModelError(
-                            f"symmetry orbits expand to more than {max_codes} "
-                            "equilibria, above the scan limit"
-                        )
-                    codes.extend(self.orbit_codes(assign))
-            codes.sort()
-        else:
-            # Stable means no improving move; blocks come out ascending.
-            codes = [
-                code
-                for lo, block_codes, src, _ in self._move_blocks()
-                for code in block_codes[
-                    np.bincount(src - lo, minlength=len(block_codes)) == 0
-                ].tolist()
+        orbits = self.has_symmetry
+        sinks = np.concatenate(
+            [
+                nodes[np.bincount(src - lo, minlength=len(nodes)) == 0]
+                for lo, nodes, src, _ in (
+                    self._orbit_blocks() if orbits else self._move_blocks()
+                )
             ]
+        )
+        codes = self._codes_of(sinks, orbits, max_codes)
         recorder = get_recorder()
         if recorder.enabled:
-            # The symmetric path stability-checks one node per orbit.
-            visited = self.orbit_count() if self.symmetry else self.size
             recorder.count("space.scans")
-            recorder.count("space.codes_visited", visited)
+            recorder.count("space.codes_visited", self.scan_size)
             recorder.count("space.equilibria", len(codes))
             recorder.event(
                 "space.scan",
-                visited=visited,
+                visited=self.scan_size,
                 total=self.size,
                 equilibria=len(codes),
-                symmetry=self.symmetry,
+                symmetry=orbits,
             )
         return codes
 
@@ -625,33 +324,24 @@ class ConfigSpace:
     def iter_equilibria(self) -> Iterator[Configuration]:
         """Lazily yield equilibria in the seed's product order."""
         for code, assign, mass in self.iter_product():
-            if self.is_stable_state(assign, mass):
+            if self.kernel.stable_index(assign, mass):
                 yield self.config_of(code)
 
     # ------------------------------------------------------------------
     # Improvement-DAG analysis (Theorem 1)
     # ------------------------------------------------------------------
 
-    def dag_report(
-        self,
-        *,
-        symmetry: Optional[bool] = None,
-        max_sinks: Optional[int] = None,
-    ) -> DagReport:
+    def dag_report(self, *, max_sinks: Optional[int] = None) -> DagReport:
         """Acyclicity, exact longest improving path, and all sinks.
 
-        With symmetry the analysis runs on the orbit quotient graph
-        (successors canonicalized), which is acyclic iff the full graph
+        With a repeated class the analysis runs on the orbit quotient
+        graph over count matrices, which is acyclic iff the full graph
         is and has the same longest-path length — better-response
         structure is invariant under permuting miners with equal power
-        *and* equal allowed set. ``max_sinks`` caps the orbit-expanded
-        sink list (see :meth:`stable_codes`).
+        *and* equal allowed set. ``max_sinks`` caps the (orbit-expanded)
+        sink list on both routes (see :meth:`stable_codes`).
         """
-        use_symmetry = self.symmetry if symmetry is None else (symmetry and self.has_symmetry)
-        if use_symmetry:
-            result = self._dag_quotient(max_sinks=max_sinks)
-        else:
-            result = self._dag_full()
+        result = self._dag(self.has_symmetry, max_sinks)
         recorder = get_recorder()
         if recorder.enabled:
             recorder.count("space.scans")
@@ -665,6 +355,42 @@ class ConfigSpace:
                 symmetry=result.symmetry_reduced,
             )
         return result
+
+    def _dag(self, orbits: bool, max_sinks: Optional[int] = None) -> DagReport:
+        """The report from the orbit quotient graph (*orbits*) or the full graph."""
+        n_nodes = self._class_game().profile_count() if orbits else self.size
+        _, *parts = zip(*(self._orbit_blocks() if orbits else self._move_blocks()))
+        nodes, src, dst = (np.concatenate(part) for part in parts)
+        acyclic, longest = _longest_path(n_nodes, src, dst)
+        sinks = nodes[np.bincount(src, minlength=n_nodes) == 0]
+        return DagReport(
+            acyclic=acyclic,
+            longest_path=longest,
+            sink_codes=tuple(self._codes_of(sinks, orbits, max_sinks)),
+            nodes_scanned=n_nodes,
+            total_configurations=self.size,
+            symmetry_reduced=orbits,
+        )
+
+    def _codes_of(self, sinks: np.ndarray, orbits: bool, cap: Optional[int]) -> List[int]:
+        """Ascending codes of a graph's sinks, which are codes on the
+        full graph and count-matrix ranks, expanded to their orbits, on
+        the orbit graph.
+
+        This is the one result cap of :meth:`stable_codes` and
+        :meth:`dag_report`: more than *cap* codes raise
+        :class:`InvalidModelError` before any orbit is expanded.
+        """
+        if orbits:
+            profiles = self._profiles_at(sinks.tolist())
+            count = sum(prod(map(multinomial, profile)) for profile in profiles)
+        else:
+            count = len(sinks)
+        if cap is not None and count > cap:
+            raise InvalidModelError(f"{count} equilibria exceed the scan limit {cap}")
+        if not orbits:
+            return sinks.tolist()
+        return np.sort(np.concatenate([self._orbit_codes(p) for p in profiles])).tolist()
 
     def _move_blocks(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """Every improving move of the full graph, a block of nodes at a time.
@@ -724,76 +450,115 @@ class ConfigSpace:
                     dst.append(ranks[hit] + (t - digit[hit]) * stride[i])
             yield lo, codes, np.concatenate(src), np.concatenate(dst)
 
-    def _dag_full(self) -> DagReport:
-        _, *parts = zip(*self._move_blocks())
-        codes, src, dst = (np.concatenate(part) for part in parts)
-        acyclic, longest = _longest_path(self.size, src, dst)
-        sinks = codes[np.bincount(src, minlength=self.size) == 0]
-        return DagReport(
-            acyclic=acyclic,
-            longest_path=longest,
-            sink_codes=tuple(sinks.tolist()),
-            nodes_scanned=self.size,
-            total_configurations=self.size,
-            symmetry_reduced=False,
-        )
+    def _orbit_digits(self) -> Tuple[List[int], List[int]]:
+        """(radix, stride) per class of the orbit graph's node ranks:
+        class ``k``'s digit indexes :meth:`ClassGame.class_rows`, class
+        0 the most significant, so rank order is
+        :meth:`ClassGame.iter_profiles` order."""
+        cgame = self._class_game()
+        radix = [len(cgame.class_rows(k)) for k in range(cgame.n_classes)]
+        return radix, [prod(radix[k + 1 :]) for k in range(len(radix))]
 
-    def _dag_quotient(self, *, max_sinks: Optional[int] = None) -> DagReport:
-        place = self._place
-        block_of = self._block_of
-        blocks = self._blocks
-        rewards = self.kernel.rewards
-        powers = self.kernel.powers
-        alphabets = self._alphabets
-        index: Dict[int, int] = {}
-        for assign, _, _ in self.iter_canonical():
-            index[self.encode(assign)] = len(index)
-        src: List[int] = []
-        dst: List[int] = []
-        sink_codes: List[int] = []
-        expanded_sinks = 0
-        node = 0
-        for assign, mass, multiplicity in self.iter_canonical():
-            code = self.encode(assign)
-            degree = len(dst)
-            for i in range(self.n_miners):
-                cur = assign[i]
-                reward_cur = rewards[cur]
-                mass_cur = mass[cur]
-                power = powers[i]
-                for j in alphabets[i]:
-                    if j == cur or rewards[j] * mass_cur <= reward_cur * (mass[j] + power):
-                        continue
-                    # Canonicalize the successor: only miner i's block
-                    # loses its sorted order, so re-sort that block.
-                    indices, _, _ = blocks[block_of[i]]
-                    child = code
-                    values = sorted(j if p == i else assign[p] for p in indices)
-                    for pos, value in zip(indices, values):
-                        child += (value - assign[pos]) * place[pos]
-                    src.append(node)
-                    dst.append(index[child])
-            if len(dst) == degree:
-                expanded_sinks += multiplicity
-                if max_sinks is not None and expanded_sinks > max_sinks:
-                    raise InvalidModelError(
-                        f"symmetry orbits expand to more than {max_sinks} "
-                        "sinks, above the scan limit"
+    def _profiles_at(self, ranks: Sequence[int]) -> List[Profile]:
+        """The count matrices at the given orbit-graph ranks."""
+        cgame = self._class_game()
+        radix, stride = self._orbit_digits()
+        return [
+            tuple(cgame.class_rows(k)[rank // stride[k] % radix[k]] for k in range(len(radix)))
+            for rank in ranks
+        ]
+
+    def _orbit_blocks(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every improving move of the orbit quotient graph, a block of
+        nodes at a time.
+
+        Nodes are the class kernel's count matrices, ranked as in
+        :meth:`_orbit_digits`. A successor moves one miner of class
+        ``k`` from coin ``c`` to ``c′``: only class ``k``'s digit
+        changes, to a row that is again a count matrix, so nothing is
+        re-sorted. Yields ``(lo, ranks, src, dst)`` as
+        :meth:`_move_blocks` does, with ranks in place of codes, and
+        decides each move with the same strict integer inequality.
+        """
+        cgame = self._class_game()
+        radix, stride = self._orbit_digits()
+        dtype = np.int64 if kernel_lane(self.kernel) == "int" else object
+        rewards = np.array(cgame.rewards, dtype=dtype)
+        mass_rows = []
+        moves = []
+        for k, alphabet in enumerate(cgame.alphabets):
+            rows = cgame.class_rows(k)
+            index = {row: r for r, row in enumerate(rows)}
+            mass_rows.append(np.array(rows, dtype=dtype) * cgame.powers[k])
+            # Per move c → c′: each row's index after one miner moves,
+            # or -1 where no miner of the class sits on c.
+            moves.append(
+                [
+                    (c, d, np.array([
+                        index[tuple(v - (j == c) + (j == d) for j, v in enumerate(row))]
+                        if row[c] else -1
+                        for row in rows
+                    ]))
+                    for c in alphabet
+                    for d in alphabet
+                    if c != d
+                ]
+            )
+        n_nodes = prod(radix)
+        for lo in range(0, n_nodes, _BLOCK_ROWS):
+            ranks = np.arange(lo, min(lo + _BLOCK_ROWS, n_nodes))
+            digits = [ranks // s % r for s, r in zip(stride, radix)]
+            mass = sum(rows[digit] for rows, digit in zip(mass_rows, digits))
+            src = [ranks[:0]]
+            dst = [ranks[:0]]
+            for k, power in enumerate(cgame.powers):
+                digit = digits[k]
+                for c, d, target in moves[k]:
+                    to = target[digit]
+                    hit = np.flatnonzero(
+                        (to >= 0) & (rewards[d] * mass[:, c] > rewards[c] * (mass[:, d] + power))
                     )
-                sink_codes.extend(self.orbit_codes(assign))
-            node += 1
-        acyclic, longest = _longest_path(
-            len(index), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-        )
-        sink_codes.sort()
-        return DagReport(
-            acyclic=acyclic,
-            longest_path=longest,
-            sink_codes=tuple(sink_codes),
-            nodes_scanned=len(index),
-            total_configurations=self.size,
-            symmetry_reduced=True,
-        )
+                    src.append(ranks[hit])
+                    dst.append(ranks[hit] + (to[hit] - digit[hit]) * stride[k])
+            yield lo, ranks, np.concatenate(src), np.concatenate(dst)
+
+    def _orbit_codes(self, profile: Sequence[Sequence[int]]) -> np.ndarray:
+        """Every per-miner code in the orbit of one count matrix: the
+        sums of one placement of each class's row over its members."""
+        rows = [tuple(row) for row in profile]
+        codes = self._placements(0, rows[0])
+        for k in range(1, len(rows)):
+            codes = (codes[:, None] + self._placements(k, rows[k])[None, :]).ravel()
+        return codes
+
+    def _placements(self, k: int, row: Tuple[int, ...]) -> np.ndarray:
+        """The code contributions of every distinct placement of class
+        *k*'s *row* over the class's ``members``, cached per (class, row).
+
+        Placement runs coin by coin: every partial placement chooses the
+        coin's miners among its still-free members, so no arrangement
+        comes out twice. Codes are int64 when the space's codes fit.
+        """
+        part = self._parts.get((k, row))
+        if part is not None:
+            return part
+        members = self._class_game().members[k]
+        dtype = np.int64 if self.n_coins**self.n_miners <= np.iinfo(np.int64).max else object
+        place = np.array([self._place[i] for i in members], dtype=dtype)
+        part = np.zeros(1, dtype=dtype)
+        free = np.arange(len(members))[None, :]
+        for coin, count in enumerate(row):
+            if not count:
+                continue
+            width = free.shape[1]
+            picks = np.array(list(itertools.combinations(range(width), count)))
+            keep = np.ones((len(picks), width), dtype=bool)
+            keep[np.arange(len(picks))[:, None], picks] = False
+            rest = np.nonzero(keep)[1].reshape(len(picks), width - count)
+            part = (part[:, None] + coin * place[free[:, picks]].sum(axis=2)).ravel()
+            free = free[:, rest].reshape(len(part), width - count)
+        self._parts[k, row] = part
+        return part
 
     # ------------------------------------------------------------------
     # Reachability
@@ -918,7 +683,7 @@ class ConfigSpace:
     def __repr__(self) -> str:
         return (
             f"ConfigSpace({self.game!r}, size={self.size}, "
-            f"symmetry={'on' if self.symmetry else 'off'}, "
+            f"symmetry={'on' if self.has_symmetry else 'off'}, "
             f"mask={'on' if self.masked else 'off'})"
         )
 

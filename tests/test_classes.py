@@ -6,9 +6,9 @@ central promise — *compression changes the representation, never the
 game* — differentially against the two established exact engines:
 
 * **Enumeration parity** — stable count profiles orbit-expand
-  bit-for-bit to :class:`ConfigSpace`'s equilibrium code sets, masked
-  and unmasked, on a 100+-game sweep plus a hypothesis sweep of random
-  games × random hardware masks.
+  bit-for-bit to the equilibrium code sets of :class:`ConfigSpace`'s
+  per-miner full graph, masked and unmasked, on a 100+-game sweep plus
+  a hypothesis sweep of random games × random hardware masks.
 * **Trajectory parity** — with every class a singleton the count-level
   stepper consumes the *same RNG draw sequence* as the per-miner
   engine; with populated classes its deterministic modes match the
@@ -86,6 +86,12 @@ def sweep_case(case):
     return game, allowed
 
 
+def _canonical_code(space, cgame, code):
+    """The smallest code in *code*'s orbit: coins ascending within each class."""
+    counts = cgame.counts_of_assignment(space.decode(code))
+    return space.encode(cgame.assignment_of_counts(counts))
+
+
 def expanded_is_stable(game, allowed, cgame, counts):
     """Per-miner stability verdict of a count matrix, via the canonical
     orbit representative on the exact kernel."""
@@ -98,20 +104,22 @@ def expanded_is_stable(game, allowed, cgame, counts):
 
 @pytest.mark.parametrize("case", SWEEP)
 def test_class_kernel_matches_config_space(case):
-    """The wall: classes ≡ symmetry blocks, stable profiles ≡ stable
-    orbits, orbit expansion ≡ the per-miner equilibrium count."""
+    """The wall: classes ≡ the kernel's (power, alphabet) groups, stable
+    profiles ≡ stable orbits of the per-miner full graph, orbit
+    expansion ≡ the per-miner equilibrium count."""
     game, allowed = sweep_case(case)
     cgame = ClassGame.from_game(game.with_allowed(allowed))
     space = ConfigSpace(game.with_allowed(allowed))
+    kernel = space.kernel
 
-    # Classes are exactly ConfigSpace's symmetry blocks, same order.
-    assert cgame.members == tuple(indices for indices, _, _ in space._blocks)
-    assert tuple(cgame.powers) == tuple(power for _, power, _ in space._blocks)
-    assert cgame.alphabets == tuple(alphabet for _, _, alphabet in space._blocks)
-    assert cgame.profile_count() == space.orbit_count()
+    # Classes are exactly the kernel's classes, same order, same scale.
+    assert cgame.members == kernel.classes
+    assert tuple(cgame.powers) == tuple(kernel.powers[m[0]] for m in kernel.classes)
+    assert cgame.alphabets == tuple(kernel.alphabets[m[0]] for m in kernel.classes)
+    assert cgame.profile_count() == space.scan_size
 
     stable = cgame.stable_profiles()
-    codes = space.stable_codes()
+    codes = list(space._dag(orbits=False).sink_codes)
 
     # Orbit expansion: profile multiplicities cover every per-miner
     # equilibrium exactly once.
@@ -122,8 +130,7 @@ def test_class_kernel_matches_config_space(case):
     profile_codes = {
         space.encode(cgame.assignment_of_counts(profile)) for profile in stable
     }
-    orbit_codes = {space.canonical_code(space.decode(code)) for code in codes}
-    assert profile_codes == orbit_codes
+    assert profile_codes == {_canonical_code(space, cgame, code) for code in codes}
 
     # Stability verdicts agree on random (mostly unstable) states too.
     rng = np.random.default_rng(900 + case)
@@ -189,12 +196,12 @@ def test_class_kernel_equilibria_property(data, run_seed):
     cgame = ClassGame.from_game(game.with_allowed(allowed))
     space = ConfigSpace(game.with_allowed(allowed))
     stable = cgame.stable_profiles()
-    codes = space.stable_codes()
+    codes = space._dag(orbits=False).sink_codes
     assert sum(cgame.orbit_size(profile) for profile in stable) == len(codes)
     profile_codes = {
         space.encode(cgame.assignment_of_counts(profile)) for profile in stable
     }
-    assert profile_codes == {space.canonical_code(space.decode(c)) for c in codes}
+    assert profile_codes == {_canonical_code(space, cgame, c) for c in codes}
 
     trajectory = run_class_better_response(
         cgame, cgame.random_counts(seed=run_seed), seed=run_seed, chunk=True

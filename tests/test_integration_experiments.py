@@ -18,6 +18,7 @@ from repro.experiments import (
     e08_design_cost,
     e09_learning_speed,
     e10_security_ablation,
+    e14_exact_paths,
 )
 
 
@@ -52,6 +53,21 @@ def test_e04_small():
     )
     assert result.metrics["strict_increase_fraction"] == 1.0
     assert result.metrics["observation_violations"] == 0
+
+
+def test_e04_fast_pins_the_exhaustive_edge_audit():
+    result = e04_potential_monotonicity.run(**e04_potential_monotonicity.FAST_PARAMS)
+    assert result.metrics["exact_edges_audited"] == 240
+    assert result.metrics["exact_edge_violations"] == 0
+
+
+def test_e14_fast_pins_the_orbit_quotient():
+    result = e14_exact_paths.run(**e14_exact_paths.FAST_PARAMS)
+    assert result.metrics["symmetric_configurations"] == 531441
+    assert result.metrics["symmetric_orbits_scanned"] == 91
+    assert result.metrics["symmetric_longest_path"] == 19
+    assert result.metrics["symmetric_acyclic"]
+    assert result.table.rows[-1][4] == "27720 sinks"
 
 
 def test_e05_small():

@@ -84,34 +84,19 @@ def _symmetric_masked(powers, rewards, masks):
 
 class TestMaskedWalks:
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[:10])
-    def test_gray_walk_covers_valid_space_one_move_at_a_time(self, miners, coins, seed):
-        game, restricted = _masked_case(miners, coins, seed)
-        space = ConfigSpace(restricted)
-        expected = sorted(
-            space.code_of(config) for config in restricted.all_configurations()
-        )
-        codes = []
-        previous = None
-        for code, assign, mass in space.iter_gray():
-            codes.append(code)
-            assert mass == space.mass_of(assign)
-            assert space.is_valid_assign(assign)
-            current = list(assign)
-            if previous is not None:
-                changed = sum(1 for a, b in zip(previous, current) if a != b)
-                assert changed == 1
-            previous = current
-        assert sorted(codes) == expected
-        assert len(codes) == space.size == restricted.configuration_count()
-
-    @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[:10])
     def test_product_walk_is_the_restricted_scan_order(self, miners, coins, seed):
         game, restricted = _masked_case(miners, coins, seed)
         space = ConfigSpace(restricted)
         walked = [space.config_of(code) for code, _, _ in space.iter_product()]
         assert walked == list(restricted.all_configurations())
-        codes = [code for code, _, _ in space.iter_product()]
+        codes = []
+        for code, assign, mass in space.iter_product():
+            codes.append(code)
+            assert code == space.encode(assign)
+            assert mass == space.mass_of(assign)
+            assert space.is_valid_assign(assign)
         assert codes == sorted(codes)
+        assert len(codes) == space.size == restricted.configuration_count()
 
     def test_masked_successors_stay_valid_and_invalid_code_raises(self):
         game, restricted = _masked_case(4, 3, 7)
@@ -158,7 +143,7 @@ class TestEquilibriumParity:
     def test_symmetric_masked_orbit_expansion_matches(self, powers, rewards, masks):
         game, restricted = _symmetric_masked(powers, rewards, masks)
         space = ConfigSpace(restricted)
-        assert space.symmetry, "these games must trigger masked symmetry reduction"
+        assert space.has_symmetry, "these games must take the masked orbit route"
         assert enumerate_equilibria(
             restricted, backend="space"
         ) == enumerate_equilibria(restricted, backend="exact")
@@ -169,19 +154,21 @@ class TestEquilibriumParity:
     ):
         _, restricted = _symmetric_masked(powers, rewards, masks)
         space = ConfigSpace(restricted)
+        cgame = space._class_game()
         scanned = 0
-        weighted = 0
-        for assign, mass, multiplicity in space.iter_canonical():
-            assert mass == space.mass_of(assign)
-            assert space.is_valid_assign(assign)
-            orbit = space.orbit_codes(assign)
-            assert len(orbit) == multiplicity
+        members = []
+        for profile in cgame.iter_profiles():
+            orbit = space._orbit_codes(profile).tolist()
+            assert len(orbit) == cgame.orbit_size(profile)
             for member in orbit:
-                assert space.is_valid_assign(space.decode(member))
+                assign = space.decode(member)
+                assert space.is_valid_assign(assign)
+                assert cgame.counts_of_assignment(assign) == list(map(list, profile))
             scanned += 1
-            weighted += multiplicity
-        assert scanned == space.orbit_count()
-        assert weighted == space.size == restricted.configuration_count()
+            members.extend(orbit)
+        assert scanned == space.scan_size
+        assert sorted(members) == [code for code, _, _ in space.iter_product()]
+        assert len(members) == space.size == restricted.configuration_count()
 
     def test_equal_power_different_mask_miners_are_not_merged(self):
         game = Game.create([2, 2, 2], [5, 3, 4])
@@ -197,7 +184,7 @@ class TestEquilibriumParity:
         space = ConfigSpace(restricted)
         # Miners 0 and 2 share power and mask; miner 1 must sit alone.
         assert space.has_symmetry
-        assert space.orbit_count() < space.size
+        assert space.scan_size < space.size
         assert enumerate_equilibria(
             restricted, backend="space"
         ) == enumerate_equilibria(restricted, backend="exact")
@@ -218,7 +205,7 @@ class TestDagParity:
     def test_symmetric_masked_dag_matches_full_graph(self, powers, rewards, masks):
         game, restricted = _symmetric_masked(powers, rewards, masks)
         graph = improvement_graph(restricted)
-        analysis = analyze_improvement_dag(restricted, backend="space", symmetry=True)
+        analysis = analyze_improvement_dag(restricted, backend="space")
         assert analysis.symmetry_reduced
         assert analysis.nodes_scanned < analysis.total_configurations
         assert analysis.acyclic == is_acyclic(graph)
@@ -243,7 +230,7 @@ class TestDagParity:
         # that happen to be mask-valid... the converse containment need
         # not hold, so only the path bound is asserted here.
         game, restricted = _masked_case(4, 3, 11)
-        free = analyze_improvement_dag(game, backend="space", symmetry=False)
+        free = analyze_improvement_dag(game, backend="space")
         masked = analyze_improvement_dag(restricted, backend="space")
         assert masked.longest_path <= free.longest_path
 
@@ -350,7 +337,7 @@ class TestTrivialMaskIdentity:
         # Identical *code path*, not merely identical answers: the
         # normalized mask is None, so every unrestricted branch runs.
         assert not space.masked
-        assert space._allowed_idx is None
+        assert space.kernel.allowed is None
         plain = ConfigSpace(game)
         assert space.size == plain.size
         assert space.stable_codes() == plain.stable_codes()
@@ -391,7 +378,7 @@ class TestEdgeCases:
         assert enumerate_equilibria(game, backend="space") == enumerate_equilibria(
             game, backend="exact"
         )
-        analysis = analyze_improvement_dag(game, backend="space", symmetry=False)
+        analysis = analyze_improvement_dag(game, backend="space")
         assert analysis.acyclic and analysis.longest_path == 0
         assert len(analysis.sinks) == 1
 
@@ -402,26 +389,25 @@ class TestEdgeCases:
         )
         space = ConfigSpace(restricted)
         assert space.size == 1
-        walked = [code for code, _, _ in space.iter_gray()]
+        walked = [code for code, _, _ in space.iter_product()]
         assert len(walked) == 1
         equilibria = enumerate_equilibria(restricted, backend="space")
         assert equilibria == enumerate_equilibria(restricted, backend="exact")
         assert len(equilibria) == 1  # nobody can move, so it is stable
 
     @pytest.mark.parametrize("powers,rewards,masks", SYMMETRIC_MASKED_GAMES[:3])
-    def test_symmetry_on_off_agree_under_masks(self, powers, rewards, masks):
+    def test_orbit_and_full_routes_agree_under_masks(self, powers, rewards, masks):
         _, restricted = _symmetric_masked(powers, rewards, masks)
-        on = analyze_improvement_dag(restricted, backend="space", symmetry=True)
-        off = analyze_improvement_dag(restricted, backend="space", symmetry=False)
-        assert on.symmetry_reduced and not off.symmetry_reduced
-        assert (on.acyclic, on.longest_path, list(on.sinks)) == (
-            off.acyclic,
-            off.longest_path,
-            list(off.sinks),
+        space = ConfigSpace(restricted)
+        orbits = space.dag_report()
+        full = space._dag(orbits=False)
+        assert orbits.symmetry_reduced and not full.symmetry_reduced
+        assert (orbits.acyclic, orbits.longest_path, orbits.sink_codes) == (
+            full.acyclic,
+            full.longest_path,
+            full.sink_codes,
         )
-        space_on = ConfigSpace(restricted, symmetry=True)
-        space_off = ConfigSpace(restricted, symmetry=False)
-        assert space_on.stable_codes() == space_off.stable_codes()
+        assert space.stable_codes() == list(full.sink_codes)
 
     def test_max_codes_caps_the_expanded_result(self):
         # Equal powers and equal masks: few orbits, combinatorially

@@ -77,7 +77,7 @@ def test_off_int64_game_leaves_the_int_lane():
 
 @pytest.mark.parametrize("game", GAMES)
 def test_builder_edges_match_scalar_successors(game):
-    space = ConfigSpace(game, symmetry=False)
+    space = ConfigSpace(game)
     scalar = {
         code: sorted(space.successor_codes(code, assign, mass))
         for code, assign, mass in space.iter_product()
@@ -88,8 +88,8 @@ def test_builder_edges_match_scalar_successors(game):
 
 @pytest.mark.parametrize("game", GAMES)
 def test_full_report_matches_fraction_analysis(game):
-    space = ConfigSpace(game, symmetry=False)
-    report = space.dag_report(symmetry=False)
+    space = ConfigSpace(game)
+    report = space._dag(orbits=False)
     exact = analyze_improvement_dag(game, backend="exact")
     assert report.acyclic and exact.acyclic
     assert report.longest_path == exact.longest_path
@@ -102,14 +102,23 @@ def test_full_report_matches_fraction_analysis(game):
 @pytest.mark.parametrize("rows", [1, 5, 7])
 @pytest.mark.parametrize("game", GAMES)
 def test_block_size_does_not_change_results(game, rows, monkeypatch):
-    space = ConfigSpace(game, symmetry=False)
-    expected = (space.dag_report(symmetry=False), space.stable_codes(), _builder_edges(space))
+    space = ConfigSpace(game)
+
+    def answers():
+        return (
+            space._dag(orbits=False),
+            space._dag(orbits=True),
+            space.dag_report(),
+            space.stable_codes(),
+            _builder_edges(space),
+        )
+
+    expected = answers()
     monkeypatch.setattr(space_module, "_BLOCK_ROWS", rows)
     blocks = list(space._move_blocks())
     assert len(blocks) == -(-space.size // rows)
     assert [block[0] for block in blocks] == list(range(0, space.size, rows))
-    actual = (space.dag_report(symmetry=False), space.stable_codes(), _builder_edges(space))
-    assert actual == expected
+    assert answers() == expected
 
 
 # ----------------------------------------------------------------------

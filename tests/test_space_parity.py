@@ -23,7 +23,7 @@ from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.core.potential import find_nonzero_four_cycle
 from repro.exceptions import InvalidModelError
-from repro.kernel.space import ConfigSpace, _block_choice_table
+from repro.kernel.space import ConfigSpace
 
 # 100 random games: ids 0-59 are 4-miner, 60-99 are 5-miner; coins
 # alternate between 2 and 3 so both radices are exercised.
@@ -55,20 +55,15 @@ class TestCodes:
         assert ordered == list(game.all_configurations())
 
     @pytest.mark.parametrize("miners,coins,seed", RANDOM_CASES[:10])
-    def test_gray_walk_covers_space_one_move_at_a_time(self, miners, coins, seed):
+    def test_product_walk_keeps_codes_and_masses_exact(self, miners, coins, seed):
         game = _game(miners, coins, seed)
         space = ConfigSpace(game)
         codes = []
-        previous = None
-        for code, assign, mass in space.iter_gray():
+        for code, assign, mass in space.iter_product():
             codes.append(code)
+            assert code == space.encode(assign)
             assert mass == space.mass_of(assign)
-            current = list(assign)
-            if previous is not None:
-                changed = sum(1 for a, b in zip(previous, current) if a != b)
-                assert changed == 1
-            previous = current
-        assert sorted(codes) == list(range(space.size))
+        assert codes == list(range(space.size))
 
 
 class TestEquilibriumParity:
@@ -90,7 +85,7 @@ class TestEquilibriumParity:
     def test_symmetric_orbit_expansion_matches(self, powers, rewards):
         game = Game.create(powers, rewards)
         space = ConfigSpace(game)
-        assert space.symmetry, "these games must trigger symmetry reduction"
+        assert space.has_symmetry, "these games must take the orbit route"
         assert enumerate_equilibria(game, backend="space") == enumerate_equilibria(
             game, backend="exact"
         )
@@ -98,15 +93,18 @@ class TestEquilibriumParity:
     @pytest.mark.parametrize("powers,rewards", SYMMETRIC_GAMES)
     def test_orbit_multiplicities_cover_the_space(self, powers, rewards):
         space = ConfigSpace(Game.create(powers, rewards))
+        cgame = space._class_game()
         scanned = 0
-        weighted = 0
-        for assign, mass, multiplicity in space.iter_canonical():
-            assert mass == space.mass_of(assign)
-            assert len(space.orbit_codes(assign)) == multiplicity
+        members = []
+        for profile in cgame.iter_profiles():
+            orbit = space._orbit_codes(profile).tolist()
+            assert len(orbit) == cgame.orbit_size(profile)
+            for code in orbit:
+                assert cgame.counts_of_assignment(space.decode(code)) == list(map(list, profile))
             scanned += 1
-            weighted += multiplicity
-        assert scanned == space.orbit_count()
-        assert weighted == space.size
+            members.extend(orbit)
+        assert scanned == space.scan_size
+        assert sorted(members) == list(range(space.size))
 
 
 class TestDagParity:
@@ -124,7 +122,7 @@ class TestDagParity:
     def test_symmetric_dag_matches_full_graph(self, powers, rewards):
         game = Game.create(powers, rewards)
         graph = improvement_graph(game)
-        analysis = analyze_improvement_dag(game, backend="space", symmetry=True)
+        analysis = analyze_improvement_dag(game, backend="space")
         assert analysis.symmetry_reduced
         assert analysis.nodes_scanned < analysis.total_configurations
         assert analysis.acyclic == is_acyclic(graph)
@@ -153,7 +151,7 @@ class TestDagParity:
         # Few orbits, combinatorially many equilibria: the guard must
         # fire on the *expanded* sink count, not just the orbit count.
         game = Game.create([1] * 30, [5, 7, 9])
-        assert ConfigSpace(game).orbit_count() < 1000
+        assert ConfigSpace(game).scan_size < 1000
         with pytest.raises(InvalidModelError, match="limit"):
             analyze_improvement_dag(game)
         with pytest.raises(InvalidModelError, match="limit"):
@@ -195,36 +193,33 @@ class TestFourCycleParity:
 
 
 class TestSymmetryInternals:
-    def test_canonical_code_is_orbit_minimum_member(self):
+    def test_every_code_sits_in_its_count_matrix_orbit(self):
         space = ConfigSpace(Game.create([2, 2, 1, 1], [5, 3]))
+        cgame = space._class_game()
         for code in range(space.size):
-            assign = space.decode(code)
-            orbit = space.orbit_codes(assign)
+            profile = cgame.counts_of_assignment(space.decode(code))
+            orbit = space._orbit_codes(profile).tolist()
             assert code in orbit
-            assert space.canonical_code(assign) in orbit
-            # Every orbit member canonicalizes to the same representative.
-            reps = {space.canonical_code(space.decode(member)) for member in orbit}
-            assert len(reps) == 1
+            assert len(set(orbit)) == len(orbit)
+            # The canonical assignment (coins ascending per class) is the
+            # orbit's smallest code.
+            assert min(orbit) == space.encode(cgame.assignment_of_counts(profile))
 
     def test_no_symmetry_for_distinct_powers(self):
         space = ConfigSpace(random_game(5, 2, seed=0))
         assert not space.has_symmetry
-        assert space.orbit_count() == space.size
+        assert space.scan_size == space.size
+        space.stable_codes()
+        space.dag_report()
+        # The full route never builds the class kernel.
+        assert space._classes is None
 
     def test_stability_is_orbit_invariant(self):
         game = Game.create([2, 2, 2, 1], [5, 3])
         space = ConfigSpace(game)
-        for assign, mass, _ in space.iter_canonical():
-            stable = space.is_stable_state(assign, mass)
-            for member in space.orbit_codes(assign):
+        cgame = space._class_game()
+        for profile in cgame.iter_profiles():
+            stable = cgame.is_stable_counts(profile)
+            for member in space._orbit_codes(profile).tolist():
                 config = space.config_of(member)
                 assert game.is_stable(config) == stable
-
-
-@pytest.mark.parametrize("size", range(7))
-@pytest.mark.parametrize("alphabet", [(0,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)])
-def test_block_choice_multiplicities_cover_every_assignment(size, alphabet):
-    """A block's canonical choices, weighted by their multiplicities,
-    count every per-miner assignment of the block exactly once."""
-    table = _block_choice_table(size, alphabet)
-    assert sum(mult for _, _, mult in table) == len(alphabet) ** size
