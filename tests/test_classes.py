@@ -86,7 +86,7 @@ def sweep_case(case):
     return game, allowed
 
 
-def _canonical_code(space, cgame, code):
+def _smallest_orbit_code(space, cgame, code):
     """The smallest code in *code*'s orbit: coins ascending within each class."""
     counts = cgame.counts_of_assignment(space.decode(code))
     return space.encode(cgame.assignment_of_counts(counts))
@@ -130,7 +130,7 @@ def test_class_kernel_matches_config_space(case):
     profile_codes = {
         space.encode(cgame.assignment_of_counts(profile)) for profile in stable
     }
-    assert profile_codes == {_canonical_code(space, cgame, code) for code in codes}
+    assert profile_codes == {_smallest_orbit_code(space, cgame, code) for code in codes}
 
     # Stability verdicts agree on random (mostly unstable) states too.
     rng = np.random.default_rng(900 + case)
@@ -201,7 +201,7 @@ def test_class_kernel_equilibria_property(data, run_seed):
     profile_codes = {
         space.encode(cgame.assignment_of_counts(profile)) for profile in stable
     }
-    assert profile_codes == {_canonical_code(space, cgame, c) for c in codes}
+    assert profile_codes == {_smallest_orbit_code(space, cgame, c) for c in codes}
 
     trajectory = run_class_better_response(
         cgame, cgame.random_counts(seed=run_seed), seed=run_seed, chunk=True
