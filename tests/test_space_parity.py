@@ -223,3 +223,23 @@ class TestSymmetryInternals:
             for member in space._orbit_codes(profile).tolist():
                 config = space.config_of(member)
                 assert game.is_stable(config) == stable
+
+
+@pytest.mark.parametrize("size", range(7))
+@pytest.mark.parametrize("alphabet", [(0,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)])
+def test_block_choice_multiplicities_cover_every_assignment(size, alphabet):
+    """A block of ``size`` equal miners on ``alphabet`` (beside one
+    unmasked miner of another power): the count matrices, each expanded
+    into its orbit of per-miner codes, have the class kernel's orbit
+    multiplicities and hit every mask-valid assignment exactly once."""
+    game = Game.create([2] * size + [1], [9, 7, 5, 3])
+    block = {miner: [game.coins[j] for j in alphabet] for miner in game.miners[:size]}
+    space = ConfigSpace(game.with_allowed(block))
+    cgame = space._class_game()
+    codes = []
+    for profile in cgame.iter_profiles():
+        orbit = space._orbit_codes(profile).tolist()
+        assert len(orbit) == cgame.orbit_size(profile)
+        codes.extend(orbit)
+    assert len(codes) == space.size == len(alphabet) ** size * len(game.coins)
+    assert sorted(codes) == [code for code, _, _ in space.iter_product()]
