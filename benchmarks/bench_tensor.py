@@ -5,10 +5,10 @@ The headline claim of the batch API redesign: an E2-style population
 magnitude faster through ``executor="vectorized"`` than through a
 worker pool, because the tensor kernel advances *every* live
 trajectory with one numpy step instead of re-entering the scalar
-stepper per run. Measured at population 1000 on a 2-vCPU Xeon VM
-(one round each, one BLAS thread): vectorized 1.2 s on the float-lane
-``random_game`` and 1.0 s on the int-lane integer game, vs process
-12.9 s vs serial 21.4 s (~18×).
+stepper per run. Measured at population 1000 on a 2-vCPU VM (best of
+five single rounds, one BLAS thread): vectorized 0.59 s on the
+float-lane ``random_game`` and 0.51 s on the int-lane integer game, vs
+process 9.9 s vs serial 16.3 s (~28×).
 
 Three population sizes chart the crossover: at 10 runs the pool/array
 overheads dominate, at 100 vectorization already wins, at 1000 it is

@@ -44,7 +44,9 @@ The kernel is the performance seam of the library:
   :class:`KernelView` stepper bit-for-bit — same RNG stream consumption,
   same tie-breaks, same finals — via a three-lane arithmetic strategy
   (exact int64 / bracketed floats with exact fallback / whole-game
-  scalar fallback, see :func:`~repro.kernel.tensor.kernel_lane`).
+  scalar fallback, see :func:`~repro.kernel.tensor.kernel_lane`). Its
+  bounded scheduler/policy draws replay numpy's sampler over pre-drawn
+  raw words for all games at once (:mod:`repro.kernel.draws`).
 
 Batches of trajectories go through :func:`repro.run_many`, which routes
 :class:`~repro.run.RunSpec` cells to the right mechanism.

@@ -410,7 +410,7 @@ def build_vector_jobs(
         if kernel.allowed is None:
             # Same single draw as random_configuration, minus the
             # Configuration round-trip (kernel coin order is game order).
-            assign = [int(j) for j in start_gen.integers(0, n_coins, n_miners)]
+            assign = start_gen.integers(0, n_coins, n_miners).tolist()
         else:
             assign = kernel.assignment_of(random_configuration(game, seed=start_gen))
         jobs.append(

@@ -50,12 +50,19 @@ int64-with-exact-fallback pattern:
 All three lanes are draw-for-draw identical to the scalar stepper:
 each job carries its own ``numpy.random.Generator``, and every draw the
 scalar loop would make (scheduler pick, random-improving choice,
-epsilon-greedy explore test) is made on that same generator, in the
-same per-step order, with the same bounds. Tie-breaks replicate the
+epsilon-greedy explore test) consumes that same generator's stream, in
+the same per-step order, with the same bounds, leaving it in the same
+final state. The bounded picks (``integers(0, n)`` of the uniform
+scheduler and the random-improving policy) come from one draw source
+per bucket (:func:`repro.kernel.draws.draw_source`), which replays
+numpy's bounded sampler over pre-drawn raw words for every drawing
+game at once and commits exactly the consumed words back to each
+generator when the bucket ends — or, where that replay is not proven,
+calls ``integers`` once per game. Tie-breaks replicate the
 scalar scan order exactly (ascending coin index for best response,
 coin-name order for minimal-gain/max-rpu, power-then-name order for the
-largest/smallest-first schedulers). ``tests/test_tensor_parity.py``
-holds the wall.
+largest/smallest-first schedulers). ``tests/test_tensor_parity.py`` and
+``tests/test_tensor_draws.py`` hold the wall.
 
 Masked games ride along: a job kernel's ``allowed`` alphabets (per-miner
 ascending coin indices, see :class:`~repro.kernel.core.KernelGame`)
@@ -72,6 +79,7 @@ import numpy as np
 
 from repro.exceptions import ConvergenceError
 from repro.kernel.core import KernelGame
+from repro.kernel.draws import draw_source
 from repro.obs.recorder import get_recorder
 
 __all__ = [
@@ -202,7 +210,10 @@ class TrajectoryJob:
 
     ``assign`` is the initial assignment (coin index per miner, miner
     order); ``rng`` is this run's private generator — the batched
-    stepper draws from it exactly as the scalar stepper would.
+    stepper consumes exactly the words the scalar stepper would draw
+    from it and leaves it in the same final state (replayed bounded
+    draws are committed when the job's bucket ends, also when it
+    raises).
     ``policy``/``scheduler`` are kind codes (:data:`VECTOR_POLICIES` /
     :data:`VECTOR_SCHEDULERS`); map strategy *objects* with
     :func:`policy_kind` / :func:`scheduler_kind`. A masked game's
@@ -568,6 +579,17 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rew
     return target
 
 
+def _bounded_draws(source, owner, bounds, recorder) -> np.ndarray:
+    """Per game ``integers(0, bounds[g])``, skipping the no-draw bound 1."""
+    draws = np.zeros(owner.size, dtype=np.int64)
+    pick = np.flatnonzero(bounds > 1)
+    if pick.size:
+        draws[pick] = source.draw(owner[pick], bounds[pick])
+        if recorder.enabled:
+            recorder.count(source.counter, int(pick.size))
+    return draws
+
+
 def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutcome]:
     """Run one same-shape, same-strategy bucket in lockstep."""
     recorder = get_recorder()
@@ -613,117 +635,116 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         rewards_f = rewards.astype(np.float64)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
-    while owner.size:
-        table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32)
-        nu = np.count_nonzero(unstable, axis=1)
+    source = draw_source(rngs, pol)
+    try:
+        while owner.size:
+            table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32)
+            nu = np.count_nonzero(unstable, axis=1)
 
-        # Retire converged games, then budget-exhausted ones — the same
-        # order the scalar loop checks (stability first, so a run that
-        # is stable exactly at budget still counts as converged).
-        done = nu == 0
-        exhausted = ~done & (steps >= budgets)
-        if done.any() or exhausted.any():
-            for gi in np.flatnonzero(done):
-                outcomes[owner[gi]] = TrajectoryOutcome(
-                    int(steps[gi]), True, tuple(int(c) for c in assign[gi])
-                )
-            for gi in np.flatnonzero(exhausted):
-                if raise_flags[gi]:
-                    raise ConvergenceError(
-                        f"better-response learning did not converge within "
-                        f"{int(budgets[gi])} steps"
+            # Retire converged games, then budget-exhausted ones — the same
+            # order the scalar loop checks (stability first, so a run that
+            # is stable exactly at budget still counts as converged).
+            done = nu == 0
+            exhausted = ~done & (steps >= budgets)
+            if done.any() or exhausted.any():
+                for gi in np.flatnonzero(done):
+                    outcomes[owner[gi]] = TrajectoryOutcome(
+                        int(steps[gi]), True, tuple(assign[gi].tolist())
                     )
-                outcomes[owner[gi]] = TrajectoryOutcome(
-                    int(steps[gi]), False, tuple(int(c) for c in assign[gi])
+                for gi in np.flatnonzero(exhausted):
+                    if raise_flags[gi]:
+                        raise ConvergenceError(
+                            f"better-response learning did not converge within "
+                            f"{int(budgets[gi])} steps"
+                        )
+                    outcomes[owner[gi]] = TrajectoryOutcome(
+                        int(steps[gi]), False, tuple(assign[gi].tolist())
+                    )
+                keep = ~(done | exhausted)
+                if recorder.enabled:
+                    recorder.count("tensor.compactions")
+                if not keep.any():
+                    break
+                owner, assign, mass, table = owner[keep], assign[keep], mass[keep], table[keep]
+                powers, rewards = powers[keep], rewards[keep]
+                steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
+                unstable, nu = unstable[keep], nu[keep]
+                if allowed_m is not None:
+                    allowed_m = allowed_m[keep]
+                if cursor is not None:
+                    cursor = cursor[keep]
+                if prio is not None:
+                    prio = prio[keep]
+                if rank is not None:
+                    rank = rank[keep]
+                if f32 is not None:
+                    f32 = tuple(a[keep] for a in f32)
+                if rewards_f is not None:
+                    rewards_f = rewards_f[keep]
+
+            g = owner.size
+            rows = np.arange(g)
+
+            # Scheduler phase: one activated miner per game. Per-game draws
+            # come from each job's own stream, in the same order and with
+            # the same bounds as the scalar scheduler. A bound-1 draw returns
+            # 0 without advancing the generator, so it is skipped.
+            if sch == "uniform":
+                draws = _bounded_draws(source, owner, nu, recorder)
+                miner = (np.cumsum(unstable, axis=1) > draws[:, None]).argmax(axis=1)
+            elif sch == "round-robin":
+                positions = (cursor[:, None] + np.arange(n)[None, :]) % n
+                offset = np.take_along_axis(unstable, positions, axis=1).argmax(axis=1)
+                miner = (cursor + offset) % n
+                cursor = (miner + 1) % n
+            else:
+                miner = np.where(unstable, prio, n).argmin(axis=1)
+
+            # Policy phase: one target coin per activated miner.
+            cur = assign[rows, miner]
+            p_sel = powers[rows, miner]
+            allow_sel = allowed_m[rows, miner] if allowed_m is not None else None
+            mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
+            if pol == "first":
+                target = mrow.argmax(axis=1)
+            elif pol == "random":
+                draws = _bounded_draws(source, owner, np.count_nonzero(mrow, axis=1), recorder)
+                target = (np.cumsum(mrow, axis=1) > draws[:, None]).argmax(axis=1)
+            elif pol == "best":
+                target = _best_response_targets(
+                    rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
                 )
-            keep = ~(done | exhausted)
-            if recorder.enabled:
-                recorder.count("tensor.compactions")
-            if not keep.any():
-                break
-            sel = np.flatnonzero(keep)
-            owner, assign, mass, table = owner[keep], assign[keep], mass[keep], table[keep]
-            powers, rewards = powers[keep], rewards[keep]
-            steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
-            unstable, nu = unstable[keep], nu[keep]
-            rngs = [rngs[i] for i in sel]
-            if allowed_m is not None:
-                allowed_m = allowed_m[keep]
-            if cursor is not None:
-                cursor = cursor[keep]
-            if prio is not None:
-                prio = prio[keep]
-            if rank is not None:
-                rank = rank[keep]
-            if f32 is not None:
-                f32 = tuple(a[keep] for a in f32)
-            if rewards_f is not None:
-                rewards_f = rewards_f[keep]
+            elif pol in ("minimal", "max-rpu"):
+                target = _extreme_gain_targets(
+                    rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu", rewards_f
+                )
+            else:  # epsilon-greedy: uniform draw decides explore/exploit
+                greedy = _best_response_targets(
+                    rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
+                )
+                counts = np.count_nonzero(mrow, axis=1)
+                cum = np.cumsum(mrow, axis=1)
+                target = np.empty(g, dtype=np.int64)
+                for gi, pos in enumerate(owner.tolist()):
+                    gen = rngs[pos]
+                    if gen.random() < eps:
+                        draw = int(gen.integers(0, int(counts[gi]))) if counts[gi] > 1 else 0
+                        target[gi] = int((cum[gi] > draw).argmax())
+                    else:
+                        target[gi] = greedy[gi]
+            if (target < 0).any():
+                raise RuntimeError("batched policy found no target for an unstable miner")
 
-        g = owner.size
-        rows = np.arange(g)
-
-        # Scheduler phase: one activated miner per game. Per-game draws
-        # happen on each job's own generator, in the same order and with
-        # the same bounds as the scalar scheduler. A bound-1 draw returns
-        # 0 without advancing the generator, so it is skipped.
-        if sch == "uniform":
-            draws = np.zeros(g, dtype=np.int64)
-            for gi in np.flatnonzero(nu > 1).tolist():
-                draws[gi] = rngs[gi].integers(0, int(nu[gi]))
-            miner = (np.cumsum(unstable, axis=1) > draws[:, None]).argmax(axis=1)
-        elif sch == "round-robin":
-            positions = (cursor[:, None] + np.arange(n)[None, :]) % n
-            offset = np.take_along_axis(unstable, positions, axis=1).argmax(axis=1)
-            miner = (cursor + offset) % n
-            cursor = (miner + 1) % n
-        else:
-            miner = np.where(unstable, prio, n).argmin(axis=1)
-
-        # Policy phase: one target coin per activated miner.
-        cur = assign[rows, miner]
-        p_sel = powers[rows, miner]
-        allow_sel = allowed_m[rows, miner] if allowed_m is not None else None
-        mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
-        if pol == "first":
-            target = mrow.argmax(axis=1)
-        elif pol == "random":
-            counts = np.count_nonzero(mrow, axis=1)
-            draws = np.zeros(g, dtype=np.int64)
-            for gi in np.flatnonzero(counts > 1).tolist():
-                draws[gi] = rngs[gi].integers(0, int(counts[gi]))
-            target = (np.cumsum(mrow, axis=1) > draws[:, None]).argmax(axis=1)
-        elif pol == "best":
-            target = _best_response_targets(
-                rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-            )
-        elif pol in ("minimal", "max-rpu"):
-            target = _extreme_gain_targets(
-                rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu", rewards_f
-            )
-        else:  # epsilon-greedy: uniform draw decides explore/exploit
-            greedy = _best_response_targets(
-                rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-            )
-            counts = np.count_nonzero(mrow, axis=1)
-            cum = np.cumsum(mrow, axis=1)
-            target = np.empty(g, dtype=np.int64)
-            for gi in range(g):
-                gen = rngs[gi]
-                if gen.random() < eps:
-                    draw = int(gen.integers(0, int(counts[gi]))) if counts[gi] > 1 else 0
-                    target[gi] = int((cum[gi] > draw).argmax())
-                else:
-                    target[gi] = greedy[gi]
-        if (target < 0).any():
-            raise RuntimeError("batched policy found no target for an unstable miner")
-
-        # Apply phase: O(population) mass bookkeeping, like the scalar
-        # view's O(1) apply.
-        mass[rows, cur] -= p_sel
-        mass[rows, target] += p_sel
-        assign[rows, miner] = target
-        steps += 1
+            # Apply phase: O(population) mass bookkeeping, like the scalar
+            # view's O(1) apply.
+            mass[rows, cur] -= p_sel
+            mass[rows, target] += p_sel
+            assign[rows, miner] = target
+            steps += 1
+    finally:
+        # Every opened job's generator learns what it consumed — also
+        # when a budget-exhausted job raises ConvergenceError.
+        source.close()
     if recorder.enabled:
         # The same totals the scalar stepper emits per run, so counter
         # sums agree across executors: every live iteration scanned each
@@ -943,7 +964,7 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
                     int(rounds[gi]),
                     not has_move[gi].any(),
                     None,
-                    tuple(int(c) for c in assign[gi]),
+                    tuple(assign[gi].tolist()),
                 )
             keep = ~exhausted
             if not keep.any():
@@ -965,7 +986,7 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
         if idle.any():
             for gi in np.flatnonzero(idle):
                 outcomes[owner[gi]] = SimultaneousOutcome(
-                    int(rounds[gi]), True, None, tuple(int(c) for c in assign[gi])
+                    int(rounds[gi]), True, None, tuple(assign[gi].tolist())
                 )
             keep = ~idle
             if not keep.any():
@@ -991,7 +1012,7 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
             if previous is not None:
                 cycled[gi] = True
                 outcomes[owner[gi]] = SimultaneousOutcome(
-                    int(rounds[gi]), False, previous, tuple(int(c) for c in assign[gi])
+                    int(rounds[gi]), False, previous, tuple(assign[gi].tolist())
                 )
             else:
                 history[key] = int(rounds[gi])

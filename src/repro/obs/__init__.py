@@ -27,6 +27,9 @@ What the built-in hook points count (all names are stable API):
 ``tensor.buckets``             lockstep buckets formed
 ``tensor.compactions``         population compaction passes
 ``tensor.escalations.<f64|exact>`` float-screen escalations
+``tensor.draws.<replayed|loop>``  uniform-scheduler and random-
+                               improving picks, replayed over raw
+                               words or one ``integers`` call each
 ``run_many.cells.<route>``     cells served per executor route
 ``pool.degradations``          worker pools that fell back to serial
 ``space.codes_visited``        ConfigSpace nodes scanned

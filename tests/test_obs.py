@@ -7,7 +7,8 @@ Four families of guarantees:
   result and consumes no extra RNG draw.
 * **Counter accounting** — engine step/scan totals match the returned
   trajectories exactly on every executor; tensor lane counters match
-  :func:`~repro.kernel.tensor.kernel_lane` predictions per game.
+  :func:`~repro.kernel.tensor.kernel_lane` predictions per game, and
+  the draw-route counters follow the bit generator's type.
 * **Export** — JSONL traces round-trip and manifests carry the
   environment stamp, counters and wall time.
 * **Satellites** — deprecation warnings point at the caller, and the
@@ -32,7 +33,7 @@ from repro.cli import main as cli_main
 from repro.core.factories import random_configuration, random_game
 from repro.kernel.core import KernelGame
 from repro.kernel.space import ConfigSpace
-from repro.kernel.tensor import kernel_lane
+from repro.kernel.tensor import TrajectoryJob, kernel_lane, run_trajectory_population
 from repro.obs import (
     NULL_RECORDER,
     MetricsRecorder,
@@ -223,6 +224,32 @@ class TestCounterAccounting:
         assert all(summary.converged for cell in results for summary in cell)
         # And the engine totals cover all lanes, scalar fallback included.
         assert rec.counter("engine.runs") == 7
+
+    @pytest.mark.parametrize(
+        "kind, counted, silent",
+        [
+            (np.random.PCG64, "tensor.draws.replayed", "tensor.draws.loop"),
+            (np.random.MT19937, "tensor.draws.loop", "tensor.draws.replayed"),
+        ],
+    )
+    def test_draw_route_counters(self, kind, counted, silent):
+        """Default-rng populations replay their bounded draws; MT19937 loops."""
+        game = random_game(12, 3, seed=2)
+        kernel = KernelGame(game)
+        jobs = [
+            TrajectoryJob(
+                kernel=kernel,
+                assign=kernel.assignment_of(random_configuration(game, seed=seed)),
+                rng=np.random.Generator(kind(seed)),
+            )
+            for seed in range(20)
+        ]
+        with observe(MetricsRecorder()) as rec:
+            run_trajectory_population(jobs)
+        assert rec.counter(counted) > 0
+        assert rec.counter(silent) == 0
+        # Every step makes at most one scheduler and one policy draw.
+        assert rec.counter(counted) <= 2 * rec.counter("engine.steps")
 
     def test_run_many_route_counters(self):
         cells = _trajectory_cells()
