@@ -39,13 +39,6 @@ _SHIFT32 = np.uint64(32)
 #: cover it, and the surplus is never committed.
 RAW_BLOCK = 32
 
-#: Fewest drawing games one :meth:`ReplayDraws.draw` call replays in
-#: numpy. A numpy pass costs a fixed ~10–20 µs; replaying game by game
-#: in Python costs ~1 µs a draw (a ``Generator.integers`` call ~3.5 µs),
-#: so calls with fewer games — small buckets, and every bucket's tail
-#: of stragglers — replay per game.
-VECTOR_MIN = 16
-
 
 class LoopDraws:
     """Bounded draws made one ``Generator.integers`` call per game."""
@@ -137,11 +130,6 @@ class ReplayDraws:
 
     def draw(self, ids: np.ndarray, bounds: np.ndarray):
         """``integers(0, bounds[r])`` of job ``ids[r]`` for every r (distinct ids)."""
-        if ids.size < VECTOR_MIN:
-            return [
-                self._settle(i, b, self._next32(i) * b)
-                for i, b in zip(ids.tolist(), bounds.tolist())
-            ]
         c = self.cursor[ids]
         stale = c >= self.HALVES
         if stale.any():
@@ -181,6 +169,9 @@ _REPLAY_VERIFIED: Dict[type, bool] = {}
 #: ones where Lemire's method redraws a quarter to half of the time.
 CHECK_BOUNDS = (2, 3, 5, 7, 10, 100, 1000, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1)
 
+#: Generators per self-check; each step draws staggered bounds on all of them.
+CHECK_JOBS = 16
+
 
 def same_state(a, b) -> bool:
     """Deep equality of two ``bit_generator.state`` values."""
@@ -199,31 +190,29 @@ def same_state(a, b) -> bool:
 def replay_self_check(kind: type) -> bool:
     """Does :class:`ReplayDraws` reproduce ``Generator.integers`` for *kind*?
 
-    :data:`VECTOR_MIN` fresh generators of the type (every other one
+    :data:`CHECK_JOBS` fresh generators of the type (every other one
     starting with a buffered half) draw the :data:`CHECK_BOUNDS`
-    bounds across a block boundary each: mostly all at once (the
-    numpy pass), every third step one alone (the per-game replay). Draws
-    and final states must equal those of twin generators calling
-    ``integers`` directly. Any failure — including a type without
-    ``has_uint32`` in its state, or one that cannot be seeded with an
-    int — means the loop route.
+    bounds together, each across a block boundary. Draws and final
+    states must equal those of twin generators calling ``integers``
+    directly. Any failure — including a type without ``has_uint32`` in
+    its state, or one that cannot be seeded with an int — means the
+    loop route.
     """
     try:
         if "has_uint32" not in kind(0).state:
             return False
-        mine = [np.random.Generator(kind(seed)) for seed in range(VECTOR_MIN)]
-        refs = [np.random.Generator(kind(seed)) for seed in range(VECTOR_MIN)]
+        mine = [np.random.Generator(kind(seed)) for seed in range(CHECK_JOBS)]
+        refs = [np.random.Generator(kind(seed)) for seed in range(CHECK_JOBS)]
         for gen in mine[1::2] + refs[1::2]:
             gen.integers(0, 3)
         source = ReplayDraws(mine)
-        every = np.arange(VECTOR_MIN)
+        ids = np.arange(CHECK_JOBS)
         for step in range(3 * RAW_BLOCK):
-            ids = every if step % 3 else every[step % VECTOR_MIN :][:1]
             bounds = np.array(
-                [CHECK_BOUNDS[(step + 3 * i) % len(CHECK_BOUNDS)] for i in ids.tolist()],
+                [CHECK_BOUNDS[(step + 3 * i) % len(CHECK_BOUNDS)] for i in range(CHECK_JOBS)],
                 dtype=np.int64,
             )
-            want = [int(refs[i].integers(0, b)) for i, b in zip(ids.tolist(), bounds.tolist())]
+            want = [int(refs[i].integers(0, b)) for i, b in enumerate(bounds.tolist())]
             if [int(x) for x in source.draw(ids, bounds)] != want:
                 return False
         source.close()
@@ -243,17 +232,21 @@ def replays(kind: type) -> bool:
     return verdict
 
 
-def draw_source(rngs: Sequence[np.random.Generator], policy: str):
+def draw_source(rngs: Sequence[np.random.Generator], policy: str, scheduler: str):
     """The bucket's bounded-draw source: replayed where proven, else looped.
 
-    Epsilon-greedy buckets loop: their explore tests call ``random()``
-    on the generator between bounded draws. A generator shared by two
-    jobs of the bucket loops too — its draws must interleave in lockstep
-    order, which per-job replay cannot do.
+    Only uniform-scheduler and random-improving buckets make bounded
+    draws; any other bucket gets the no-cost loop source, so it runs no
+    self-check and allocates no replay table. Epsilon-greedy buckets
+    loop: their explore tests call ``random()`` on the generator between
+    bounded draws. A generator shared by two jobs of the bucket loops
+    too — its draws must interleave in lockstep order, which per-job
+    replay cannot do.
     """
     bit_generators = [rng.bit_generator for rng in rngs]
     if (
-        policy != "epsilon"
+        (scheduler == "uniform" or policy == "random")
+        and policy != "epsilon"
         and len({id(bg) for bg in bit_generators}) == len(bit_generators)
         and all(replays(kind) for kind in {type(bg) for bg in bit_generators})
     ):

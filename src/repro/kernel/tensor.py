@@ -635,7 +635,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         rewards_f = rewards.astype(np.float64)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
-    source = draw_source(rngs, pol)
+    source = draw_source(rngs, pol, sch)
     try:
         while owner.size:
             table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32)

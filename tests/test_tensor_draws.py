@@ -5,8 +5,8 @@ sampler (``next_uint32`` buffering plus Lemire's rejection method) over
 pre-drawn raw words instead of calling ``integers(0, n)`` once per
 game. These tests hold the replay to the real thing draw for draw —
 every bound class up to ``2**32 − 1`` (rejection-heavy ones included),
-starts with and without a buffered half, several block refills, the
-numpy pass and the per-game path — and to the final
+starts with and without a buffered half, several block refills, games
+dropping in and out of the draws — and to the final
 ``bit_generator.state``, stale ``uinteger`` included. Populations whose
 jobs carry other bit generators (replayed or looped) and populations
 that run out of step budget, raising or not, must leave every
@@ -70,8 +70,8 @@ def assert_same_states(mine, refs):
 
 
 @pytest.mark.parametrize("buffered", [0, 1])
-@pytest.mark.parametrize("jobs", [1, draws.VECTOR_MIN + 4], ids=["per-game", "numpy"])
-def test_replay_matches_integers_for_every_bound(buffered, jobs):
+def test_replay_matches_integers_for_every_bound(buffered):
+    jobs = 20
     mine, refs = twin_generators(jobs, lambda seed: buffered)
     assert {g.bit_generator.state["has_uint32"] for g in mine} == {buffered}
     source = draws.ReplayDraws(mine)
@@ -87,21 +87,18 @@ def test_replay_matches_integers_for_every_bound(buffered, jobs):
 
 
 def test_replay_over_random_subsets_and_mixed_starts():
-    """Games drop in and out of draws; both paths share one stream per job."""
-    jobs = 2 * draws.VECTOR_MIN
+    """Games drop in and out of draws, each on its own stream."""
+    jobs = 32
     mine, refs = twin_generators(jobs, lambda seed: seed % 3 == 0)
     source = draws.ReplayDraws(mine)
     chooser = np.random.default_rng(99)
-    sizes = set()
     for _ in range(300):
         ids = np.flatnonzero(chooser.random(jobs) < chooser.random())
         if not ids.size:
             continue
-        sizes.add(ids.size >= draws.VECTOR_MIN)
         bounds = chooser.choice(BOUNDS, ids.size)
         want = [int(refs[i].integers(0, b)) for i, b in zip(ids.tolist(), bounds.tolist())]
         assert [int(x) for x in source.draw(ids, bounds)] == want
-    assert sizes == {True, False}
     source.close()
     assert_same_states(mine, refs)
 
@@ -218,9 +215,10 @@ def test_population_parity_with_other_bit_generators(kinds, policy, scheduler):
 def test_shared_generator_takes_the_loop_route(monkeypatch):
     """Jobs sharing one generator must interleave draws in lockstep order."""
     shared = np.random.default_rng(5)
-    assert isinstance(draws.draw_source([shared, shared], "random"), draws.LoopDraws)
-    assert isinstance(draws.draw_source([shared], "random"), draws.ReplayDraws)
-    assert isinstance(draws.draw_source([shared], "epsilon"), draws.LoopDraws)
+    route = draws.draw_source
+    assert isinstance(route([shared, shared], "random", "round-robin"), draws.LoopDraws)
+    assert isinstance(route([shared], "random", "round-robin"), draws.ReplayDraws)
+    assert isinstance(route([shared], "epsilon", "uniform"), draws.LoopDraws)
 
     def run_shared():
         rng = np.random.default_rng(5)
@@ -230,8 +228,20 @@ def test_shared_generator_takes_the_loop_route(monkeypatch):
         return run_trajectory_population(jobs), rng.bit_generator.state
 
     routed = run_shared()
-    monkeypatch.setattr(tensor, "draw_source", lambda rngs, policy: draws.LoopDraws(rngs))
+    monkeypatch.setattr(tensor, "draw_source", lambda rngs, *kinds: draws.LoopDraws(rngs))
     assert run_shared() == routed
+
+
+def test_bucket_without_bounded_draws_skips_the_replay(monkeypatch):
+    """Best response under round-robin never draws: no self-check, no table."""
+    monkeypatch.setattr(draws, "_REPLAY_VERIFIED", {})
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    for policy, scheduler in (("best", "round-robin"), ("first", "largest")):
+        assert isinstance(draws.draw_source(rngs, policy, scheduler), draws.LoopDraws)
+    assert draws._REPLAY_VERIFIED == {}
+    _, jobs = population((np.random.PCG64,), BestResponsePolicy(), RoundRobinScheduler())
+    run_trajectory_population(jobs)
+    assert draws._REPLAY_VERIFIED == {}
 
 
 @pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937], ids=["replay", "loop"])
