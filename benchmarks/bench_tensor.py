@@ -5,10 +5,10 @@ The headline claim of the batch API redesign: an E2-style population
 magnitude faster through ``executor="vectorized"`` than through a
 worker pool, because the tensor kernel advances *every* live
 trajectory with one numpy step instead of re-entering the scalar
-stepper per run. Measured at population 1000 on a 2-vCPU VM (best of
-five single rounds, one BLAS thread): vectorized 0.59 s on the
-float-lane ``random_game`` and 0.51 s on the int-lane integer game, vs
-process 9.9 s vs serial 16.3 s (~28×).
+stepper per run. Measured at population 1000 on a 2-vCPU VM (one BLAS
+thread; vectorized best of five single rounds, the others one round):
+vectorized 0.39 s on the float-lane ``random_game`` and 0.32 s on the
+int-lane integer game, vs process 8.1 s vs serial 14.5 s (~37×).
 
 Three population sizes chart the crossover: at 10 runs the pool/array
 overheads dominate, at 100 vectorization already wins, at 1000 it is

@@ -313,6 +313,7 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
     :class:`CellStats` (merged across chunks by the caller).
     """
     from repro.core.factories import random_configuration
+    from repro.kernel.core import KernelGame
     from repro.learning.engine import LearningEngine
 
     (
@@ -337,11 +338,15 @@ def _run_chunk(payload: Tuple[Any, ...]) -> List[Any]:
         backend=backend,
         **engine_kwargs,
     )
+    # One KernelGame per chunk: every run of the chunk plays the same game.
+    kernel = KernelGame(game) if backend == "fast" else None
     records: List[RunRecord] = []
     assert engine.policy is not None and engine.scheduler is not None
     for start_seed, run_seed in seed_pairs:
         start = random_configuration(game, seed=np.random.default_rng(start_seed))
-        trajectory = engine.run(game, start, seed=np.random.default_rng(run_seed))
+        trajectory = engine.run(
+            game, start, seed=np.random.default_rng(run_seed), kernel=kernel
+        )
         final = trajectory.final
         records.append(
             (

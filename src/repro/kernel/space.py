@@ -409,6 +409,7 @@ class ConfigSpace:
         (when codes fit too) and Python integers in object arrays
         otherwise, so every verdict is exact.
         """
+        _require_int64_ranks(self.size, "configurations")
         n = self.n_miners
         kernel = self.kernel
         fits = kernel_lane(kernel) == "int" and self.n_coins**n <= np.iinfo(np.int64).max
@@ -482,6 +483,8 @@ class ConfigSpace:
         """
         cgame = self._class_game()
         radix, stride = self._orbit_digits()
+        n_nodes = prod(radix)
+        _require_int64_ranks(n_nodes, "count-matrix orbits")
         dtype = np.int64 if kernel_lane(self.kernel) == "int" else object
         rewards = np.array(cgame.rewards, dtype=dtype)
         mass_rows = []
@@ -504,7 +507,6 @@ class ConfigSpace:
                     if c != d
                 ]
             )
-        n_nodes = prod(radix)
         for lo in range(0, n_nodes, _BLOCK_ROWS):
             ranks = np.arange(lo, min(lo + _BLOCK_ROWS, n_nodes))
             digits = [ranks // s % r for s, r in zip(stride, radix)]
@@ -685,6 +687,14 @@ class ConfigSpace:
             f"ConfigSpace({self.game!r}, size={self.size}, "
             f"symmetry={'on' if self.has_symmetry else 'off'}, "
             f"mask={'on' if self.masked else 'off'})"
+        )
+
+
+def _require_int64_ranks(count: int, what: str) -> None:
+    """Fail before a graph scan whose int64 node ranks would overflow."""
+    if count > np.iinfo(np.int64).max:
+        raise InvalidModelError(
+            f"{count} {what} exceed the int64 node ranks of the exact scan"
         )
 
 

@@ -17,9 +17,13 @@ on coin *c* is ``R_c·p/M_c``, so whether miner *i* gains by moving
 from *c* to *j* depends on *i* only through *c* and its power: each
 step builds one per-coin margin table ``T[g, c, j]`` (``(games × coins
 × coins)``), reduces it to each coin's best margin, gathers that per
-miner by assignment and compares against the miner's threshold —
-O(G·k² + G·n) per lockstep step. The policy phase reads the activated
-miner's row ``T[g, cur, :]`` of the same table.
+miner by assignment (one flat ``np.take``) and compares against the
+miner's threshold — O(G·k² + G·n) per lockstep step. The int lane keeps
+the thresholds ``R[assign]·p`` as state: the apply phase rewrites the
+one entry per game that moved. The policy phase reads the activated
+miner's row ``T[g, cur, :]`` of the same table. A uniform pick of the
+``d``-th unstable miner or improving coin reads each row's ``d``-th
+True from one ``flatnonzero`` of the whole mask (:func:`_nth_true`).
 
 Exactness — three lanes, mirroring ``stochastic/lottery.py``'s
 int64-with-exact-fallback pattern:
@@ -321,50 +325,23 @@ def _run_scalar_job(job: TrajectoryJob) -> TrajectoryOutcome:
     return TrajectoryOutcome(trajectory.length, trajectory.converged, final)
 
 
-def _activation_priorities(jobs: Sequence, kind: str) -> np.ndarray:
-    """Per-game miner ranks replicating largest/smallest-first picks.
+def _rank_rows(jobs: Sequence, keys, reverse: bool = False) -> np.ndarray:
+    """Per-game ranks of each index under its sort key ``keys(kernel)[i]``.
 
-    ``max(unstable, key=(power, name))`` returns the *first* maximal
-    element; a stable (reverse-)sort keeps equal keys in ascending miner
-    order, so rank-argmin over the unstable set reproduces the scalar
-    pick, ties included.
+    Largest/smallest-first picks rank miners by (power, name), reversed
+    for largest: ``max(unstable, key=...)`` returns the *first* maximal
+    element, and a stable (reverse-)sort keeps equal keys in ascending
+    index order, so rank-argmin over the unstable set reproduces the
+    scalar pick, ties included. Minimal-gain/max-rpu ties rank coins by
+    name. Rows are computed once per kernel.
     """
-    n = jobs[0].kernel.n_miners
     cache: Dict[int, np.ndarray] = {}
-    out = np.empty((len(jobs), n), dtype=np.int64)
-    for g, job in enumerate(jobs):
-        row = cache.get(id(job.kernel))
-        if row is None:
-            miners = job.kernel.game.miners
-            order = sorted(
-                range(n),
-                key=lambda i: (miners[i].power, miners[i].name),
-                reverse=(kind == "largest"),
-            )
-            row = np.empty(n, dtype=np.int64)
-            for rank, i in enumerate(order):
-                row[i] = rank
-            cache[id(job.kernel)] = row
-        out[g] = row
-    return out
-
-
-def _coin_name_ranks(jobs: Sequence) -> np.ndarray:
-    """Per-game coin ranks in name order (minimal-gain/max-rpu ties)."""
-    k = jobs[0].kernel.n_coins
-    cache: Dict[int, np.ndarray] = {}
-    out = np.empty((len(jobs), k), dtype=np.int64)
-    for g, job in enumerate(jobs):
-        row = cache.get(id(job.kernel))
-        if row is None:
-            names = job.kernel.coin_names
-            order = sorted(range(k), key=lambda j: names[j])
-            row = np.empty(k, dtype=np.int64)
-            for rank, j in enumerate(order):
-                row[j] = rank
-            cache[id(job.kernel)] = row
-        out[g] = row
-    return out
+    for job in jobs:
+        if id(job.kernel) not in cache:
+            ks = keys(job.kernel)
+            order = sorted(range(len(ks)), key=ks.__getitem__, reverse=reverse)
+            cache[id(job.kernel)] = np.argsort(order)
+    return np.array([cache[id(job.kernel)] for job in jobs], dtype=np.int64)
 
 
 def _f64_margin_rows(powers, rewards, assign, mass, allowed_m, gis, iis):
@@ -425,16 +402,19 @@ def _f32_aux(powers, rewards, mass, lane):
     )
 
 
-def _scan(powers, rewards, assign, mass, allowed_m, f32):
+def _scan(powers, rewards, assign, mass, allowed_m, f32, thr=None):
     """The per-coin margin table and exact per-miner instability.
 
     ``T[g, c, j]`` is the module docstring's lane formula. ``j == c``
     compares a payoff against itself: ``T[c, c]`` is 0 (int) or about
     ``−ε·M_c`` (float), never above a threshold, so the diagonal needs
     no mask. Unrestricted games reduce the table to each coin's best
-    margin, then gather per miner; restricted games gather each miner's
-    row, mask it, then reduce. Float-lane miners whose best margin lands
-    inside the bracket are re-resolved by :func:`_f64_margin_rows`.
+    margin, then gather per miner with one flat ``np.take``; restricted
+    games gather each miner's row, mask it, then reduce. The int lane
+    compares against the thresholds *thr* (``R[assign]·p``), which the
+    stepper keeps as state and :func:`stable_mask` leaves to this call
+    to build. Float-lane miners whose best margin lands inside the
+    bracket are re-resolved by :func:`_f64_margin_rows`.
     """
     if f32 is None:
         table = mass[:, :, None] * rewards[:, None, :] - rewards[:, :, None] * mass[:, None, :]
@@ -444,14 +424,14 @@ def _scan(powers, rewards, assign, mass, allowed_m, f32):
         q_lo = (mass32 / rewards32) * _LO_F32
         table = q_lo[:, :, None] * rewards32[:, None, :]
         table -= mass32[:, None, :]
+    rows = np.arange(len(assign))[:, None]
     if allowed_m is None:
-        top = np.take_along_axis(table.max(axis=2), assign, axis=1)
+        top = np.take(table.max(axis=2), assign + rows * table.shape[1])
     else:
         lowest = np.iinfo(np.int64).min if f32 is None else -np.inf
-        rows = np.arange(len(assign))[:, None]
         top = np.where(allowed_m, table[rows, assign], lowest).max(axis=2)
     if f32 is None:
-        return table, top > np.take_along_axis(rewards, assign, axis=1) * powers
+        return table, top > (rewards[rows, assign] * powers if thr is None else thr)
     unstable = top > p32
     gap = (top > p_gap32) & ~unstable
     if gap.any():
@@ -579,6 +559,14 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rew
     return target
 
 
+def _nth_true(mask, counts, draws) -> np.ndarray:
+    """Column of each row's ``draws[g]``-th True (0-based) in one pass.
+
+    *counts* are the rows' True counts; every row must have one.
+    """
+    return np.flatnonzero(mask)[np.cumsum(counts) - counts + draws] % mask.shape[1]
+
+
 def _bounded_draws(source, owner, bounds, recorder) -> np.ndarray:
     """Per game ``integers(0, bounds[g])``, skipping the no-draw bound 1."""
     draws = np.zeros(owner.size, dtype=np.int64)
@@ -627,9 +615,15 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 allowed_m[g, i, list(coins)] = True
 
     cursor = np.zeros(total, dtype=np.int64) if sch == "round-robin" else None
-    prio = _activation_priorities(jobs, sch) if sch in ("largest", "smallest") else None
-    rank = _coin_name_ranks(jobs) if pol in ("minimal", "max-rpu") else None
+    prio = rank = None
+    if sch in ("largest", "smallest"):
+        prio = _rank_rows(
+            jobs, lambda kg: [(m.power, m.name) for m in kg.game.miners], reverse=sch == "largest"
+        )
+    if pol in ("minimal", "max-rpu"):
+        rank = _rank_rows(jobs, lambda kg: kg.coin_names)
     f32 = _f32_aux(powers, rewards, mass, lane)
+    thr = rewards[np.arange(total)[:, None], assign] * powers if exact else None
     rewards_f = None
     if not exact and pol in ("best", "minimal", "max-rpu", "epsilon"):
         rewards_f = rewards.astype(np.float64)
@@ -638,7 +632,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     source = draw_source(rngs, pol, sch)
     try:
         while owner.size:
-            table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32)
+            table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32, thr)
             nu = np.count_nonzero(unstable, axis=1)
 
             # Retire converged games, then budget-exhausted ones — the same
@@ -646,21 +640,17 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             # is stable exactly at budget still counts as converged).
             done = nu == 0
             exhausted = ~done & (steps >= budgets)
-            if done.any() or exhausted.any():
-                for gi in np.flatnonzero(done):
-                    outcomes[owner[gi]] = TrajectoryOutcome(
-                        int(steps[gi]), True, tuple(assign[gi].tolist())
-                    )
-                for gi in np.flatnonzero(exhausted):
-                    if raise_flags[gi]:
+            keep = ~(done | exhausted)
+            if not keep.all():
+                for gi in np.flatnonzero(~keep):
+                    if exhausted[gi] and raise_flags[gi]:
                         raise ConvergenceError(
                             f"better-response learning did not converge within "
                             f"{int(budgets[gi])} steps"
                         )
                     outcomes[owner[gi]] = TrajectoryOutcome(
-                        int(steps[gi]), False, tuple(assign[gi].tolist())
+                        int(steps[gi]), bool(done[gi]), tuple(assign[gi].tolist())
                     )
-                keep = ~(done | exhausted)
                 if recorder.enabled:
                     recorder.count("tensor.compactions")
                 if not keep.any():
@@ -669,18 +659,12 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 powers, rewards = powers[keep], rewards[keep]
                 steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
                 unstable, nu = unstable[keep], nu[keep]
-                if allowed_m is not None:
-                    allowed_m = allowed_m[keep]
-                if cursor is not None:
-                    cursor = cursor[keep]
-                if prio is not None:
-                    prio = prio[keep]
-                if rank is not None:
-                    rank = rank[keep]
+                allowed_m, cursor, prio, rank, thr, rewards_f = (
+                    None if a is None else a[keep]
+                    for a in (allowed_m, cursor, prio, rank, thr, rewards_f)
+                )
                 if f32 is not None:
                     f32 = tuple(a[keep] for a in f32)
-                if rewards_f is not None:
-                    rewards_f = rewards_f[keep]
 
             g = owner.size
             rows = np.arange(g)
@@ -690,8 +674,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             # the same bounds as the scalar scheduler. A bound-1 draw returns
             # 0 without advancing the generator, so it is skipped.
             if sch == "uniform":
-                draws = _bounded_draws(source, owner, nu, recorder)
-                miner = (np.cumsum(unstable, axis=1) > draws[:, None]).argmax(axis=1)
+                miner = _nth_true(unstable, nu, _bounded_draws(source, owner, nu, recorder))
             elif sch == "round-robin":
                 positions = (cursor[:, None] + np.arange(n)[None, :]) % n
                 offset = np.take_along_axis(unstable, positions, axis=1).argmax(axis=1)
@@ -705,11 +688,11 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             p_sel = powers[rows, miner]
             allow_sel = allowed_m[rows, miner] if allowed_m is not None else None
             mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
+            counts = np.count_nonzero(mrow, axis=1)
             if pol == "first":
                 target = mrow.argmax(axis=1)
             elif pol == "random":
-                draws = _bounded_draws(source, owner, np.count_nonzero(mrow, axis=1), recorder)
-                target = (np.cumsum(mrow, axis=1) > draws[:, None]).argmax(axis=1)
+                target = _nth_true(mrow, counts, _bounded_draws(source, owner, counts, recorder))
             elif pol == "best":
                 target = _best_response_targets(
                     rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
@@ -722,16 +705,14 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 greedy = _best_response_targets(
                     rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
                 )
-                counts = np.count_nonzero(mrow, axis=1)
-                cum = np.cumsum(mrow, axis=1)
-                target = np.empty(g, dtype=np.int64)
+                explore = np.zeros(g, dtype=bool)
+                draws = np.zeros(g, dtype=np.int64)
                 for gi, pos in enumerate(owner.tolist()):
                     gen = rngs[pos]
                     if gen.random() < eps:
-                        draw = int(gen.integers(0, int(counts[gi]))) if counts[gi] > 1 else 0
-                        target[gi] = int((cum[gi] > draw).argmax())
-                    else:
-                        target[gi] = greedy[gi]
+                        explore[gi] = True
+                        draws[gi] = gen.integers(0, int(counts[gi])) if counts[gi] > 1 else 0
+                target = np.where(explore, _nth_true(mrow, counts, draws), greedy)
             if (target < 0).any():
                 raise RuntimeError("batched policy found no target for an unstable miner")
 
@@ -740,6 +721,8 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             mass[rows, cur] -= p_sel
             mass[rows, target] += p_sel
             assign[rows, miner] = target
+            if thr is not None:
+                thr[rows, miner] = rewards[rows, target] * p_sel
             steps += 1
     finally:
         # Every opened job's generator learns what it consumed — also

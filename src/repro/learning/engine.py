@@ -213,6 +213,7 @@ class LearningEngine:
         initial: Configuration,
         *,
         seed: RngLike = None,
+        kernel=None,
     ) -> Trajectory:
         """Run better-response learning from *initial* to convergence.
 
@@ -220,14 +221,16 @@ class LearningEngine:
         :class:`ConvergenceError` if the budget is exhausted and
         ``raise_on_budget`` is set. On a masked game every move stays
         within the mover's allowed coins, and *initial* must sit on
-        allowed coins, else ``InvalidConfigurationError``.
+        allowed coins, else ``InvalidConfigurationError``. *kernel* is
+        a prebuilt :class:`~repro.kernel.core.KernelGame` of *game*
+        that a ``"fast"`` engine reuses across runs.
         """
         game.validate_configuration(initial)
         rng = make_rng(seed)
         policy = self.policy
         scheduler = self.scheduler
         assert policy is not None and scheduler is not None  # set in __post_init__
-        view = make_view(game, initial, backend=self.backend)
+        view = make_view(game, initial, backend=self.backend, kernel=kernel)
         return run_better_response(
             view,
             policy,

@@ -247,18 +247,23 @@ def make_view(
     initial: Configuration,
     *,
     backend: str = "fast",
+    kernel=None,
 ) -> GameView:
     """The view for *backend*: ``"fast"`` → KernelView, ``"exact"`` →
     ExactView, ``"class"`` → the population-compressed
     :class:`~repro.kernel.classes.ClassView` (identical decisions, scans
     memoized per (power, alphabet) class).
 
-    The single seam every engine goes through.
+    The single seam every engine goes through. *kernel* is a prebuilt
+    :class:`~repro.kernel.core.KernelGame` of *game* for the
+    ``"fast"`` view to reuse instead of building its own.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"backend must be 'fast', 'exact' or 'class', got {backend!r}"
         )
+    if kernel is not None and backend != "fast":
+        raise ValueError(f"kernel= is only used by backend='fast', got {backend!r}")
     if backend == "exact":
         return ExactView(game, initial)
     # Imported lazily so this module (which every strategy imports)
@@ -269,7 +274,7 @@ def make_view(
         return ClassView(game, initial)
     from repro.kernel.engine import KernelView
 
-    return KernelView(game, initial)
+    return KernelView(game, initial, kernel=kernel)
 
 
 __all__ = ["BACKENDS", "ExactView", "GameView", "make_view"]

@@ -2,10 +2,11 @@
 
 Entries live at ``<root>/<key[:2]>/<key>.json`` where ``key`` is
 :meth:`~repro.sweep.grid.SweepCell.cache_key` — the SHA-256 of (cell
-fingerprint, resolved seed, library and numpy versions). Because the
-address *is* the provenance, any grid that declares an equivalent cell
-under the same root seed re-uses the entry, and entries written by
-different library or numpy versions or seeds can never collide.
+fingerprint, resolved seed, library version, source digest and numpy
+version). Because the address *is* the provenance, any grid that
+declares an equivalent cell under the same root seed re-uses the entry,
+and entries written by different library code or numpy versions or
+seeds can never collide.
 
 Writes are atomic (:func:`repro.io.write_json_atomic`), so a cache
 entry either exists completely or not at all — which is exactly the

@@ -29,19 +29,22 @@ than positional:
   fingerprint modulo the shard count, so every host of a ``--shard
   K/N`` fleet agrees on the partition without coordination;
 * **content-addressed caching** — :meth:`SweepCell.cache_key` hashes
-  (fingerprint, resolved seed, library and numpy versions) into the key the
-  :class:`~repro.sweep.cache.ResultCache` stores results under, so any
-  overlapping grid re-uses completed cells.
+  (fingerprint, resolved seed, library version, a digest of the
+  library's source (:func:`source_digest`), numpy version) into the key
+  the :class:`~repro.sweep.cache.ResultCache` stores results under, so
+  any overlapping grid re-uses completed cells.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,7 +59,26 @@ __all__ = [
     "cell_fingerprint",
     "labeled",
     "parse_shard",
+    "source_digest",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 of every ``.py`` file of the ``repro`` package, once per process.
+
+    Part of every cache key: ``__version__`` does not move with each
+    change to the code, and a cache must not serve results that other
+    code produced.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
 
 #: Seed descriptors are JSON values: an int, a word list, or a mapping.
 SeedDescriptor = Union[int, List[int], Dict[str, Any]]
@@ -235,11 +257,11 @@ class SweepCell:
         """Content address of this cell's results under *root*.
 
         SHA-256 over (fingerprint, resolved seed descriptor, library
-        version, numpy version) — the full provenance of the result
-        bytes, so a cache can never serve results produced by different
-        code, different randomness, or a different cell. numpy is in
-        the key because ``Generator`` streams are not guaranteed stable
-        across numpy releases.
+        version, :func:`source_digest`, numpy version) — the full
+        provenance of the result bytes, so a cache can never serve
+        results produced by different code, different randomness, or a
+        different cell. numpy is in the key because ``Generator`` streams
+        are not guaranteed stable across numpy releases.
         """
         if version is None:
             from repro import __version__ as version
@@ -248,6 +270,7 @@ class SweepCell:
                 "cell": self.fingerprint,
                 "seed": seed_descriptor(self.resolve_seed(root)),
                 "repro": version,
+                "source": source_digest(),
                 "numpy": np.__version__,
             },
             sort_keys=True,

@@ -48,6 +48,39 @@ def test_every_executor_returns_identical_results():
         assert run_many(_cells(), executor=mode) == reference
 
 
+@pytest.mark.parametrize("backend, builds", [("fast", 1), ("exact", 0)])
+def test_scalar_cell_builds_one_kernel_game(monkeypatch, backend, builds):
+    """Every run of a serial cell plays one game: the chunk builds its
+    KernelGame once and hands it to each run's view ("fast" only)."""
+    from repro.kernel.core import KernelGame
+
+    built = []
+    original = KernelGame.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelGame, "__init__", counting)
+    cell = RunSpec(game=random_game(6, 3, seed=1), runs=6, seed=11, backend=backend)
+    run_many([cell], executor="serial")
+    assert len(built) == builds
+
+
+def test_engine_rejects_a_kernel_on_other_backends():
+    from repro.core.factories import random_configuration
+    from repro.kernel.core import KernelGame
+    from repro.learning.engine import LearningEngine
+
+    game = random_game(6, 3, seed=1)
+    start = random_configuration(game, seed=2)
+    kernel = KernelGame(game)
+    fast = LearningEngine(backend="fast", record="summary")
+    assert fast.run(game, start, seed=3, kernel=kernel) == fast.run(game, start, seed=3)
+    with pytest.raises(ValueError, match="only used by backend='fast'"):
+        LearningEngine(backend="exact").run(game, start, seed=3, kernel=kernel)
+
+
 def test_matches_direct_runner_calls():
     """run_many is a router: cell results equal the underlying runners'."""
     cells = _cells()

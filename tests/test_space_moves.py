@@ -23,6 +23,7 @@ from repro.core.equilibrium import enumerate_equilibria
 from repro.core.factories import random_game
 from repro.core.game import Game
 from repro.core.restricted import RestrictedGame
+from repro.exceptions import InvalidModelError
 from repro.kernel.space import ConfigSpace, _longest_path
 from repro.kernel.tensor import kernel_lane
 from repro.util.rng import spawn_rngs
@@ -119,6 +120,26 @@ def test_block_size_does_not_change_results(game, rows, monkeypatch):
     assert len(blocks) == -(-space.size // rows)
     assert [block[0] for block in blocks] == list(range(0, space.size, rows))
     assert answers() == expected
+
+
+def test_space_past_int64_fails_fast():
+    """5^30 configurations: the scans' node ranks would pass int64, so
+    both raise a named error before building any block."""
+    space = ConfigSpace(random_game(30, 5, seed=1))
+    assert not space.has_symmetry
+    for scan in (space.stable_codes, space.dag_report):
+        with pytest.raises(InvalidModelError, match=f"{5**30} configurations"):
+            scan()
+
+
+def test_orbit_space_past_int64_fails_fast():
+    """30 classes of two miners over 5 coins: 15^30 count matrices."""
+    game = Game.create(powers=[i // 2 + 1 for i in range(60)], reward_values=[1, 2, 3, 4, 5])
+    space = ConfigSpace(game)
+    assert space.has_symmetry
+    for scan in (space.stable_codes, space.dag_report):
+        with pytest.raises(InvalidModelError, match=f"{15**30} count-matrix orbits"):
+            scan()
 
 
 # ----------------------------------------------------------------------

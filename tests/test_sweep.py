@@ -278,6 +278,25 @@ class TestCache:
         assert second.cache_hits == 4
         assert second.cache_misses == 2
 
+    def test_changed_source_misses(self, tmp_path, monkeypatch):
+        from repro.sweep import grid as grid_module
+
+        out = str(tmp_path / "sweep")
+        run_sweep(_small_grid(seed=3), out=out, seed=0)
+        assert run_sweep(_small_grid(seed=3), out=out, seed=0).cache_hits == 4
+        # Same version string, different code: nothing may be served.
+        monkeypatch.setattr(grid_module, "source_digest", lambda: "0" * 64)
+        edited = run_sweep(_small_grid(seed=3), out=out, seed=0)
+        assert edited.cache_hits == 0
+        assert edited.cache_misses == 4
+
+    def test_source_digest_is_memoized_hex(self):
+        from repro.sweep.grid import source_digest
+
+        digest = source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert source_digest() is digest
+
 
 class TestRunSweep:
     def test_ephemeral_equals_cached(self, tmp_path):
