@@ -47,12 +47,6 @@ answers every evaluation query. The ``backend`` knob picks the view:
     :class:`repro.learning.ExactView` — the original Fraction
     arithmetic. Kept for audits; no strategy *needs* it anymore.
 
-``backend="class"``
-    :class:`repro.kernel.ClassView` — the kernel view plus
-    per-(power, allowed-set)-class memoization of better-response
-    scans. Decision-identical to ``"fast"``; pays off when many miners
-    are interchangeable.
-
 To write a custom strategy, subclass
 :class:`~repro.learning.policies.BetterResponsePolicy` and override
 ``choose_view(self, view, miner, rng)`` (or
@@ -174,7 +168,7 @@ Subpackages
     ``backend="space"``, the tensor population kernel
     (:mod:`repro.kernel.tensor`) behind ``executor="vectorized"``, the
     population-compressed class kernel (:mod:`repro.kernel.classes`)
-    behind ``kind="classes"`` / ``backend="class"``, and the pool
+    behind ``kind="classes"``, and the pool
     helpers behind :func:`repro.run_many` (:mod:`repro.kernel.batch`).
 ``repro.learning``
     The :class:`~repro.learning.view.GameView` strategy-view protocol,
@@ -255,7 +249,6 @@ from repro.exceptions import (
 from repro.kernel import (
     ClassGame,
     ClassRunResult,
-    ClassView,
     KernelGame,
     TrajectorySummary,
     run_class_better_response,
@@ -315,7 +308,6 @@ __all__ = [
     "SimulationError",
     "ClassGame",
     "ClassRunResult",
-    "ClassView",
     "KernelGame",
     "TrajectorySummary",
     "run_class_better_response",

@@ -50,6 +50,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
+from repro.learning.view import BACKENDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fast", action="store_true", help="shrunken workload")
     run.add_argument(
         "--backend",
-        choices=("fast", "exact", "class"),
+        choices=BACKENDS,
         default=None,
         help="numeric backend for runners that accept one (identical results)",
     )
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=("fast", "exact", "class"),
+        choices=BACKENDS,
         default=None,
         help="numeric backend for grids that accept one (identical results)",
     )
@@ -171,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
         "--backend",
-        choices=("fast", "exact", "class"),
+        choices=BACKENDS,
         default="fast",
         help="learning-loop arithmetic (identical trajectories)",
     )

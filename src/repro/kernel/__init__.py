@@ -27,9 +27,7 @@ The kernel is the performance seam of the library:
   configuration as an integer count matrix,
   :func:`~repro.kernel.classes.run_class_better_response` moves whole
   chunks of a class per macro step with a closed-form maximal run
-  length (millions of miners converge exactly in milliseconds), and
-  :class:`~repro.kernel.classes.ClassView` is the drop-in
-  ``backend="class"`` view with per-class scan memoization. Stable
+  length (millions of miners converge exactly in milliseconds). Stable
   count profiles orbit-expand bit-for-bit to the per-miner equilibrium
   sets of :class:`ConfigSpace`.
 * :mod:`repro.kernel.batch` holds the pool helpers and per-run
@@ -60,7 +58,6 @@ from repro.kernel.classes import (
     ClassRunResult,
     ClassSimultaneousResult,
     ClassTrajectory,
-    ClassView,
     run_class_better_response,
     run_class_simultaneous,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "ClassRunResult",
     "ClassSimultaneousResult",
     "ClassTrajectory",
-    "ClassView",
     "ConfigSpace",
     "DagReport",
     "KernelGame",

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.game import Game
+from repro.learning.view import check_backend
 from repro.obs.log import get_logger
 from repro.obs.recorder import get_recorder
 from repro.util.rng import seed_sequence
@@ -439,8 +440,8 @@ class BatchRunner(PooledRunner):
     Parameters
     ----------
     backend:
-        Numeric backend handed to every worker's engine (``"fast"``,
-        ``"exact"`` or ``"class"``).
+        Numeric backend handed to every worker's engine (``"fast"`` or
+        ``"exact"``).
     executor:
         ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``
         (processes for large batches on multi-core hosts, serial
@@ -459,10 +460,7 @@ class BatchRunner(PooledRunner):
 
     def __post_init__(self) -> None:
         self._init_pool()
-        if self.backend not in ("fast", "exact", "class"):
-            raise ValueError(
-                f"backend must be 'fast', 'exact' or 'class', got {self.backend!r}"
-            )
+        check_backend(self.backend)
         self._validate_pool_args()
 
     def run(

@@ -20,7 +20,7 @@ miner of class *i* from coin *c* to coin *c′*" decided by the same
 integer cross-multiplication, and payoffs are recovered per class as
 :class:`fractions.Fraction`.
 
-Three entry layers:
+Two entry layers:
 
 :func:`run_class_better_response` / :func:`run_class_simultaneous`
     Count-level steppers. ``chunk=True`` moves the *maximal* run of
@@ -30,20 +30,13 @@ Three entry layers:
     ``O(log population)`` macro steps — this is what makes million-miner
     scenarios converge in seconds while remaining a legitimate
     better-response path under Theorem 1.
-:class:`ClassView`
-    A :class:`~repro.learning.view.GameView` implementation (a
-    :class:`~repro.kernel.engine.KernelView` subclass) that memoizes
-    improving-move scans per (class, coin) pair, so the existing
-    policies/schedulers/engines drive compressed games unchanged —
-    decision-for-decision and RNG-draw-for-draw identical to the
-    per-miner backends (``backend="class"``).
 :func:`repro.run_many` (``kind="classes"`` cells)
     The population/batch route: seeded multinomial random starts, one
     compressed run per cell repetition.
 
 Parity is the wall: ``tests/test_classes.py`` checks equilibrium sets
-and convergence verdicts against the Fraction brute force and
-:class:`KernelView` after orbit expansion, and
+and convergence verdicts against the Fraction brute force and the
+per-miner kernel after orbit expansion, and
 ``tests/test_orbit_route.py`` checks :class:`ConfigSpace`'s orbit
 route against its per-miner full graph.
 """
@@ -77,7 +70,6 @@ from repro.exceptions import (
     InvalidModelError,
 )
 from repro.kernel.core import KernelGame, _common_integers
-from repro.kernel.engine import KernelView
 from repro.obs.recorder import get_recorder
 from repro.util.rng import RngLike, make_rng
 
@@ -89,7 +81,6 @@ __all__ = [
     "ClassSimultaneousResult",
     "ClassStep",
     "ClassTrajectory",
-    "ClassView",
     "Profile",
     "run_class_better_response",
     "run_class_simultaneous",
@@ -954,123 +945,3 @@ class ClassRunResult:
     moved: int
     converged: bool
     final: Profile
-
-
-# ----------------------------------------------------------------------
-# The GameView implementation (backend="class")
-# ----------------------------------------------------------------------
-
-
-class ClassView(KernelView):
-    """The ``backend="class"`` :class:`~repro.learning.view.GameView`.
-
-    A :class:`KernelView` whose scan queries are memoized per
-    (class, coin): every evaluation predicate depends only on the
-    querying miner's power, alphabet and current coin — identical for
-    all members of one class on one coin — so one improving-move scan
-    per occupied pair answers for the whole class, making
-    ``unstable_miners`` cost ``O(n + #pairs·#coins)`` instead of
-    ``O(n·#coins)``. Answers (values, orders, tie-breaks, RNG draws)
-    are bit-for-bit :class:`KernelView`'s for every strategy; only the
-    scan *cost* changes. Payoff queries and the selection helpers are
-    inherited unchanged — they are per-activation, not per-scan.
-    """
-
-    __slots__ = ("_class_of", "_class_powers", "_class_alphabets", "_scan_cache")
-
-    def __init__(
-        self,
-        game: Game,
-        initial: Configuration,
-        *,
-        kernel: Optional[KernelGame] = None,
-    ):
-        super().__init__(game, initial, kernel=kernel)
-        classes = self.kernel.classes
-        self._class_of: Tuple[int, ...] = self.kernel.class_of
-        self._class_powers: Tuple[int, ...] = tuple(
-            self.kernel.powers[indices[0]] for indices in classes
-        )
-        self._class_alphabets: Tuple[Tuple[int, ...], ...] = tuple(
-            self.kernel.alphabets[indices[0]] for indices in classes
-        )
-        # (class, coin) → ascending improving coin indices, valid for
-        # the current masses only; cleared on every apply.
-        self._scan_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-    def _targets(self, k: int, src: int) -> Tuple[int, ...]:
-        key = (k, src)
-        cached = self._scan_cache.get(key)
-        if cached is None:
-            rewards = self.kernel.rewards
-            mass = self.mass
-            power = self._class_powers[k]
-            reward_cur = rewards[src]
-            mass_cur = mass[src]
-            cached = tuple(
-                j
-                for j in self._class_alphabets[k]
-                if j != src and rewards[j] * mass_cur > reward_cur * (mass[j] + power)
-            )
-            self._scan_cache[key] = cached
-        return cached
-
-    # -- evaluation (class-memoized) -----------------------------------
-
-    def improving_moves(self, miner: Miner) -> Tuple[Coin, ...]:
-        i = self.kernel.miner_index[miner]
-        coins = self.game.coins
-        return tuple(
-            coins[j] for j in self._targets(self._class_of[i], self.assign[i])
-        )
-
-    def best_response(self, miner: Miner) -> Optional[Coin]:
-        i = self.kernel.miner_index[miner]
-        targets = self._targets(self._class_of[i], self.assign[i])
-        if not targets:
-            return None
-        # Same tie-break as KernelGame.best_response_idx, restricted to
-        # the (all-improving) memoized targets: strict improvement over
-        # best-so-far, earliest coin wins.
-        rewards = self.kernel.rewards
-        mass = self.mass
-        power = self._class_powers[self._class_of[i]]
-        best = targets[0]
-        best_reward = rewards[best]
-        best_den = mass[best] + power
-        for j in targets[1:]:
-            den = mass[j] + power
-            if rewards[j] * best_den > best_reward * den:
-                best_reward = rewards[j]
-                best_den = den
-                best = j
-        return self.game.coins[best]
-
-    def unstable_miners(self) -> Tuple[Miner, ...]:
-        miners = self.game.miners
-        class_of = self._class_of
-        assign = self.assign
-        targets = self._targets
-        return tuple(
-            miners[i]
-            for i in range(self.kernel.n_miners)
-            if targets(class_of[i], assign[i])
-        )
-
-    def is_stable(self) -> bool:
-        class_of = self._class_of
-        assign = self.assign
-        targets = self._targets
-        for i in range(self.kernel.n_miners):
-            if targets(class_of[i], assign[i]):
-                return False
-        return True
-
-    # -- state ---------------------------------------------------------
-
-    def apply_index(self, i: int, j: int) -> None:
-        super().apply_index(i, j)
-        self._scan_cache.clear()
-
-    def __repr__(self) -> str:
-        return f"ClassView({self.game!r})"

@@ -125,9 +125,8 @@ class KernelGame:
         Miners of one class are interchangeable: equal power makes
         their payoffs equal, equal alphabets make the legality of every
         move equal. This one grouping is the class list of
-        :class:`~repro.kernel.classes.ClassGame`, the class index of
-        :class:`~repro.kernel.classes.ClassView` and the symmetry
-        blocks of :class:`~repro.kernel.space.ConfigSpace`.
+        :class:`~repro.kernel.classes.ClassGame` and the symmetry blocks
+        of :class:`~repro.kernel.space.ConfigSpace`.
         """
         if self._classes is None:
             groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}

@@ -465,49 +465,54 @@ def _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
     return mrow
 
 
-def _best_response_targets(rewards, mass, cur, p_sel, allow_sel, exact, rewards_f):
-    """Batched :meth:`KernelGame.best_response_idx` for one miner per game.
+def _best_response(rewards, mass, cur, p, allow, exact):
+    """Batched :meth:`KernelGame.best_response_idx` for ``(G, m)`` miners.
 
-    Ascending-j scan with strict improvement over best-so-far, seeded at
-    the current payoff — ties resolve to the earliest coin, exactly like
-    the scalar chain. Returns -1 where no improving move exists.
+    *cur* and *p* are the miners' current coins and powers, ``(G, m)``;
+    *allow* is their ``(G, m, k)`` allowed-coin mask, or None. The
+    sequential stepper asks for one miner per game, the simultaneous
+    stepper for all of them. Ascending-j scan with strict improvement
+    over best-so-far, seeded at the current payoff — ties resolve to the
+    earliest coin, exactly like the scalar chain. Outside the int lane
+    each comparison is screened in float64 and anything inside the
+    ``_REL_TOL`` bracket is settled in Python integers. Returns -1 where
+    no improving move exists.
     """
-    g, k = mass.shape
-    rows = np.arange(g)
-    best_r = rewards[rows, cur].copy()
-    best_den = mass[rows, cur].copy()
-    target = np.full(g, -1, dtype=np.int64)
-    for j in range(k):
+    best_r = np.take_along_axis(rewards, cur, axis=1)
+    best_den = np.take_along_axis(mass, cur, axis=1)
+    target = np.full(cur.shape, -1, dtype=np.int64)
+    for j in range(mass.shape[1]):
         elig = cur != j
-        if allow_sel is not None:
-            elig = elig & allow_sel[:, j]
+        if allow is not None:
+            elig &= allow[:, :, j]
         if not elig.any():
             continue
-        den_j = mass[:, j] + p_sel
+        r_j = rewards[:, j][:, None]
+        den_j = mass[:, j][:, None] + p
         if exact:
-            beat = rewards[:, j] * best_den > best_r * den_j
+            beat = r_j * best_den > best_r * den_j
         else:
-            lhs = rewards_f[:, j] * best_den.astype(np.float64)
+            lhs = r_j.astype(np.float64) * best_den.astype(np.float64)
             rhs = best_r.astype(np.float64) * den_j.astype(np.float64)
             diff = lhs - rhs
             tol = (lhs + rhs) * _REL_TOL
             beat = diff > tol
-            unsure = np.flatnonzero((diff >= -tol) & ~beat & elig)
-            if unsure.size:
-                get_recorder().count("tensor.escalations.exact", int(unsure.size))
-            for gi in unsure:
-                beat[gi] = int(rewards[gi, j]) * int(best_den[gi]) > int(best_r[gi]) * int(
-                    den_j[gi]
-                )
+            unsure = (diff >= -tol) & ~beat & elig
+            unsure_count = int(np.count_nonzero(unsure))
+            if unsure_count:
+                get_recorder().count("tensor.escalations.exact", unsure_count)
+            for gi, i in zip(*np.nonzero(unsure)):
+                beat[gi, i] = int(rewards[gi, j]) * int(best_den[gi, i]) > int(
+                    best_r[gi, i]
+                ) * int(den_j[gi, i])
         beat &= elig
-        if beat.any():
-            best_r = np.where(beat, rewards[:, j], best_r)
-            best_den = np.where(beat, den_j, best_den)
-            target = np.where(beat, j, target)
+        best_r = np.where(beat, r_j, best_r)
+        best_den = np.where(beat, den_j, best_den)
+        target = np.where(beat, j, target)
     return target
 
 
-def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rewards_f):
+def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize):
     """Batched minimal-gain (``maximize=False``) / max-rpu target choice.
 
     Scans improving coins ascending; keeps the smallest (largest)
@@ -532,7 +537,7 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rew
             gt = lhs > rhs
             eq = lhs == rhs
         else:
-            lhs = rewards_f[:, j] * best_den.astype(np.float64)
+            lhs = rewards[:, j].astype(np.float64) * best_den.astype(np.float64)
             rhs = best_r.astype(np.float64) * den_j.astype(np.float64)
             diff = lhs - rhs
             tol = (lhs + rhs) * _REL_TOL
@@ -578,6 +583,18 @@ def _bounded_draws(source, owner, bounds, recorder) -> np.ndarray:
     return draws
 
 
+def _allowed_tensor(kernels: Sequence[KernelGame]) -> Optional[np.ndarray]:
+    """The ``(games × miners × coins)`` allowed-coin mask, or None when
+    no game of *kernels* is masked."""
+    if all(kernel.allowed is None for kernel in kernels):
+        return None
+    allowed_m = np.zeros((len(kernels), kernels[0].n_miners, kernels[0].n_coins), dtype=bool)
+    for g, kernel in enumerate(kernels):
+        for i, coins in enumerate(kernel.alphabets):
+            allowed_m[g, i, list(coins)] = True
+    return allowed_m
+
+
 def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutcome]:
     """Run one same-shape, same-strategy bucket in lockstep."""
     recorder = get_recorder()
@@ -604,15 +621,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     steps = np.zeros(total, dtype=np.int64)
     owner = np.arange(total)
 
-    allowed_m = None
-    if any(job.kernel.allowed is not None for job in jobs):
-        allowed_m = np.ones((total, n, k), dtype=bool)
-        for g, job in enumerate(jobs):
-            if job.kernel.allowed is None:
-                continue
-            allowed_m[g] = False
-            for i, coins in enumerate(job.kernel.allowed):
-                allowed_m[g, i, list(coins)] = True
+    allowed_m = _allowed_tensor([job.kernel for job in jobs])
 
     cursor = np.zeros(total, dtype=np.int64) if sch == "round-robin" else None
     prio = rank = None
@@ -624,9 +633,6 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         rank = _rank_rows(jobs, lambda kg: kg.coin_names)
     f32 = _f32_aux(powers, rewards, mass, lane)
     thr = rewards[np.arange(total)[:, None], assign] * powers if exact else None
-    rewards_f = None
-    if not exact and pol in ("best", "minimal", "max-rpu", "epsilon"):
-        rewards_f = rewards.astype(np.float64)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
     source = draw_source(rngs, pol, sch)
@@ -659,9 +665,9 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 powers, rewards = powers[keep], rewards[keep]
                 steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
                 unstable, nu = unstable[keep], nu[keep]
-                allowed_m, cursor, prio, rank, thr, rewards_f = (
+                allowed_m, cursor, prio, rank, thr = (
                     None if a is None else a[keep]
-                    for a in (allowed_m, cursor, prio, rank, thr, rewards_f)
+                    for a in (allowed_m, cursor, prio, rank, thr)
                 )
                 if f32 is not None:
                     f32 = tuple(a[keep] for a in f32)
@@ -686,33 +692,30 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             # Policy phase: one target coin per activated miner.
             cur = assign[rows, miner]
             p_sel = powers[rows, miner]
-            allow_sel = allowed_m[rows, miner] if allowed_m is not None else None
             mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
             counts = np.count_nonzero(mrow, axis=1)
             if pol == "first":
                 target = mrow.argmax(axis=1)
             elif pol == "random":
                 target = _nth_true(mrow, counts, _bounded_draws(source, owner, counts, recorder))
-            elif pol == "best":
-                target = _best_response_targets(
-                    rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-                )
             elif pol in ("minimal", "max-rpu"):
                 target = _extreme_gain_targets(
-                    rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu", rewards_f
+                    rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu"
                 )
-            else:  # epsilon-greedy: uniform draw decides explore/exploit
-                greedy = _best_response_targets(
-                    rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-                )
-                explore = np.zeros(g, dtype=bool)
-                draws = np.zeros(g, dtype=np.int64)
-                for gi, pos in enumerate(owner.tolist()):
-                    gen = rngs[pos]
-                    if gen.random() < eps:
-                        explore[gi] = True
-                        draws[gi] = gen.integers(0, int(counts[gi])) if counts[gi] > 1 else 0
-                target = np.where(explore, _nth_true(mrow, counts, draws), greedy)
+            else:  # best response, or epsilon-greedy's greedy pick
+                allow = None if allowed_m is None else allowed_m[rows, miner][:, None]
+                target = _best_response(
+                    rewards, mass, cur[:, None], p_sel[:, None], allow, exact
+                )[:, 0]
+                if pol == "epsilon":  # a uniform draw decides explore/exploit
+                    explore = np.zeros(g, dtype=bool)
+                    draws = np.zeros(g, dtype=np.int64)
+                    for gi, pos in enumerate(owner.tolist()):
+                        gen = rngs[pos]
+                        if gen.random() < eps:
+                            explore[gi] = True
+                            draws[gi] = gen.integers(0, int(counts[gi])) if counts[gi] > 1 else 0
+                    target = np.where(explore, _nth_true(mrow, counts, draws), target)
             if (target < 0).any():
                 raise RuntimeError("batched policy found no target for an unstable miner")
 
@@ -772,12 +775,9 @@ def stable_mask(kernel: KernelGame, assigns) -> np.ndarray:
     rewards = np.broadcast_to(np.array(kernel.rewards, dtype=np.int64), (G, k))
     mass = np.zeros((G, k), dtype=np.int64)
     np.add.at(mass, (np.arange(G)[:, None], assigns), powers)
-    allowed_m = None
-    if kernel.allowed is not None:
-        row_mask = np.zeros((n, k), dtype=bool)
-        for i, coins in enumerate(kernel.allowed):
-            row_mask[i, list(coins)] = True
-        allowed_m = np.broadcast_to(row_mask, (G, n, k))
+    allowed_m = _allowed_tensor([kernel])
+    if allowed_m is not None:
+        allowed_m = np.broadcast_to(allowed_m, (G, n, k))
     f32 = _f32_aux(powers, rewards, mass, lane)
     _, unstable = _scan(powers, rewards, assigns, mass, allowed_m, f32)
     return ~unstable.any(axis=1)
@@ -790,7 +790,12 @@ def stable_mask(kernel: KernelGame, assigns) -> np.ndarray:
 
 @dataclass
 class SimultaneousJob:
-    """One synchronous-dynamics run of the population."""
+    """One synchronous-dynamics run of the population.
+
+    A masked game's allowed coins come from ``kernel.allowed``; the
+    start must sit on them, as
+    :func:`~repro.learning.simultaneous.run_simultaneous` requires.
+    """
 
     kernel: KernelGame
     assign: Sequence[int]
@@ -863,39 +868,6 @@ def _run_scalar_simultaneous(job: SimultaneousJob) -> SimultaneousOutcome:
     return SimultaneousOutcome(result.rounds, result.converged, result.cycle_start, final)
 
 
-def _best_response_all(powers, rewards, assign, mass, exact, powers_f, rewards_f):
-    """Best-response target (or -1) for *every* miner of every game."""
-    g, n = assign.shape
-    k = mass.shape[1]
-    best_r = np.take_along_axis(rewards, assign, axis=1).copy()
-    best_den = np.take_along_axis(mass, assign, axis=1).copy()
-    target = np.full((g, n), -1, dtype=np.int64)
-    for j in range(k):
-        elig = assign != j
-        den_j = mass[:, j][:, None] + powers
-        if exact:
-            beat = rewards[:, j][:, None] * best_den > best_r * den_j
-        else:
-            lhs = rewards_f[:, j][:, None] * best_den.astype(np.float64)
-            rhs = best_r.astype(np.float64) * den_j.astype(np.float64)
-            diff = lhs - rhs
-            tol = (lhs + rhs) * _REL_TOL
-            beat = diff > tol
-            unsure = (diff >= -tol) & ~beat & elig
-            unsure_count = int(np.count_nonzero(unsure))
-            if unsure_count:
-                get_recorder().count("tensor.escalations.exact", unsure_count)
-            for gi, i in zip(*np.nonzero(unsure)):
-                beat[gi, i] = int(rewards[gi, j]) * int(best_den[gi, i]) > int(
-                    best_r[gi, i]
-                ) * int(den_j[gi, i])
-        beat &= elig
-        best_r = np.where(beat, rewards[:, j][:, None], best_r)
-        best_den = np.where(beat, den_j, best_den)
-        target = np.where(beat, j, target)
-    return target
-
-
 def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[SimultaneousOutcome]:
     total = len(jobs)
     n = jobs[0].kernel.n_miners
@@ -916,14 +888,13 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
         ({assign[g].tobytes(): 0} if job.inertia == 0.0 else None)
         for g, job in enumerate(jobs)
     ]
-    powers_f = powers.astype(np.float64) if not exact else None
-    rewards_f = rewards.astype(np.float64) if not exact else None
+    allowed_m = _allowed_tensor([job.kernel for job in jobs])
 
     outcomes: List[Optional[SimultaneousOutcome]] = [None] * total
 
     def compact(keep):
         nonlocal owner, assign, mass, powers, rewards, limits, inertias, rngs
-        nonlocal rounds, seen, powers_f, rewards_f
+        nonlocal rounds, seen, allowed_m
         sel = np.flatnonzero(keep)
         owner, assign, mass = owner[keep], assign[keep], mass[keep]
         powers, rewards = powers[keep], rewards[keep]
@@ -931,11 +902,11 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
         inertias = [inertias[i] for i in sel]
         rngs = [rngs[i] for i in sel]
         seen = [seen[i] for i in sel]
-        if not exact:
-            powers_f, rewards_f = powers_f[keep], rewards_f[keep]
+        if allowed_m is not None:
+            allowed_m = allowed_m[keep]
 
     while owner.size:
-        targets = _best_response_all(powers, rewards, assign, mass, exact, powers_f, rewards_f)
+        targets = _best_response(rewards, mass, assign, powers, allowed_m, exact)
         has_move = targets >= 0
 
         # Round budget: the scalar loop simply stops after max_rounds

@@ -43,7 +43,7 @@ from repro.obs.recorder import get_recorder
 from repro.learning.policies import BetterResponsePolicy, RandomImprovingPolicy
 from repro.learning.schedulers import ActivationScheduler, UniformRandomScheduler
 from repro.learning.trajectory import Step, Trajectory
-from repro.learning.view import GameView, make_view
+from repro.learning.view import GameView, check_backend, make_view
 from repro.util.rng import RngLike, make_rng
 
 #: Default per-run step budget. Theorem 1 guarantees finite convergence,
@@ -179,11 +179,10 @@ class LearningEngine:
         only, no per-step :class:`~repro.learning.trajectory.Step`
         records.
     backend:
-        ``"fast"`` (integer kernel view, default), ``"exact"``
-        (Fraction view) or ``"class"`` (population-compressed view
-        with per-(power, alphabet)-class scan memoization). All three
-        produce identical trajectories for every policy/scheduler —
-        including custom subclasses; see the module docstring.
+        ``"fast"`` (integer kernel view, default) or ``"exact"``
+        (Fraction view). Both produce identical trajectories for every
+        policy/scheduler — including custom subclasses; see the module
+        docstring.
     """
 
     policy: Optional[BetterResponsePolicy] = None
@@ -200,10 +199,7 @@ class LearningEngine:
             self.scheduler = UniformRandomScheduler()
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
-        if self.backend not in ("fast", "exact", "class"):
-            raise ValueError(
-                f"backend must be 'fast', 'exact' or 'class', got {self.backend!r}"
-            )
+        check_backend(self.backend)
         if self.record not in RECORD_MODES:
             raise ValueError(f"record must be one of {RECORD_MODES}, got {self.record!r}")
 

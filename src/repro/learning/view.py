@@ -45,7 +45,21 @@ from repro.core.game import Game
 from repro.core.miner import Miner
 
 #: The backend strings :func:`make_view` (and every engine) accepts.
-BACKENDS = ("fast", "exact", "class")
+BACKENDS = ("fast", "exact")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`ValueError` unless *backend* is in :data:`BACKENDS`.
+
+    The one backend check: :func:`make_view`, ``LearningEngine``,
+    ``BatchRunner`` and ``RunSpec`` all call it, and the CLI offers
+    :data:`BACKENDS` as its ``--backend`` choices.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"backend must be 'fast' or 'exact', got {backend!r} "
+            "(population-scale class runs are RunSpec(kind=\"classes\"))"
+        )
 
 
 class GameView(abc.ABC):
@@ -250,31 +264,22 @@ def make_view(
     kernel=None,
 ) -> GameView:
     """The view for *backend*: ``"fast"`` → KernelView, ``"exact"`` →
-    ExactView, ``"class"`` → the population-compressed
-    :class:`~repro.kernel.classes.ClassView` (identical decisions, scans
-    memoized per (power, alphabet) class).
+    ExactView.
 
     The single seam every engine goes through. *kernel* is a prebuilt
     :class:`~repro.kernel.core.KernelGame` of *game* for the
     ``"fast"`` view to reuse instead of building its own.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be 'fast', 'exact' or 'class', got {backend!r}"
-        )
+    check_backend(backend)
     if kernel is not None and backend != "fast":
         raise ValueError(f"kernel= is only used by backend='fast', got {backend!r}")
     if backend == "exact":
         return ExactView(game, initial)
     # Imported lazily so this module (which every strategy imports)
     # never pulls the kernel package in at import time.
-    if backend == "class":
-        from repro.kernel.classes import ClassView
-
-        return ClassView(game, initial)
     from repro.kernel.engine import KernelView
 
     return KernelView(game, initial, kernel=kernel)
 
 
-__all__ = ["BACKENDS", "ExactView", "GameView", "make_view"]
+__all__ = ["BACKENDS", "ExactView", "GameView", "check_backend", "make_view"]

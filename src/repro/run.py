@@ -43,6 +43,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.game import Game
+from repro.learning.view import check_backend
 from repro.obs.log import get_logger
 from repro.obs.recorder import get_recorder
 from repro.util.rng import seed_sequence
@@ -113,10 +114,7 @@ class RunSpec:
             raise ValueError(
                 f"kind must be 'trajectory', 'noisy' or 'classes', got {self.kind!r}"
             )
-        if self.backend not in ("fast", "exact", "class"):
-            raise ValueError(
-                f"backend must be 'fast', 'exact' or 'class', got {self.backend!r}"
-            )
+        check_backend(self.backend)
         if self.kind == "noisy" and (self.policy is not None or self.scheduler is not None):
             raise ValueError("noisy cells take an engine, not a policy/scheduler")
         if self.kind in ("trajectory", "classes") and self.engine is not None:

@@ -13,9 +13,6 @@ game* — differentially against the two established exact engines:
   stepper consumes the *same RNG draw sequence* as the per-miner
   engine; with populated classes its deterministic modes match the
   per-miner engine under a class-canonical scheduler step for step.
-* **View parity** — ``backend="class"`` (the memoizing
-  :class:`ClassView`) is trajectory- and draw-identical to
-  ``backend="fast"`` for standard and custom strategies.
 * **Chunking soundness** — the closed-form maximal run length of
   :meth:`ClassGame.max_chunk` is exactly the number of successively
   improving single moves, verified move by move.
@@ -38,7 +35,6 @@ from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.kernel.classes import (
     CLASS_POLICIES,
     ClassGame,
-    ClassView,
     run_class_better_response,
     run_class_simultaneous,
 )
@@ -46,7 +42,6 @@ from repro.kernel.space import ConfigSpace
 from repro.learning.engine import LearningEngine
 from repro.learning.policies import (
     BestResponsePolicy,
-    BetterResponsePolicy,
     FirstImprovingPolicy,
     MinimalGainPolicy,
     RandomImprovingPolicy,
@@ -433,84 +428,6 @@ def test_simultaneous_inertia_smoke():
         run_class_simultaneous(cgame, cgame.random_counts(seed=1), inertia=1.0)
     with pytest.raises(ValueError):
         run_class_simultaneous(cgame, cgame.random_counts(seed=1), max_rounds=0)
-
-
-# ----------------------------------------------------------------------
-# backend="class": the memoizing view
-# ----------------------------------------------------------------------
-
-
-class RpuOrRandomPolicy(BetterResponsePolicy):
-    """Custom policy that exercises inherited helpers *and* RNG draws."""
-
-    name = "rpu-or-random"
-
-    def choose_view(self, view, miner, rng):
-        moves = view.improving_moves(miner)
-        if not moves:
-            return None
-        if rng.random() < 0.5:
-            return view.max_rpu_move(miner, moves)
-        return moves[int(rng.integers(0, len(moves)))]
-
-
-@pytest.mark.parametrize("case", [4, 12, 27, 45, 66, 83, 101])
-def test_class_backend_is_draw_identical_to_fast(case):
-    game, allowed = sweep_case(case)
-    start = random_configuration(game, seed=case)
-    if allowed is not None:
-        start = Configuration(
-            game.miners,
-            [
-                allowed[miner][0]
-                if start.coin_of(miner) not in allowed[miner]
-                else start.coin_of(miner)
-                for miner in game.miners
-            ],
-        )
-    for policy in (RandomImprovingPolicy(), BestResponsePolicy(), RpuOrRandomPolicy()):
-        rng_fast = np.random.default_rng(case)
-        rng_class = np.random.default_rng(case)
-        fast = LearningEngine(policy=policy, backend="fast").run(
-            game.with_allowed(allowed), start, seed=rng_fast
-        )
-        compressed = LearningEngine(policy=policy, backend="class").run(
-            game.with_allowed(allowed), start, seed=rng_class
-        )
-        assert fast.converged and compressed.converged
-        assert len(fast.steps) == len(compressed.steps)
-        for a, b in zip(fast.steps, compressed.steps):
-            assert (a.miner, a.source, a.target) == (b.miner, b.source, b.target)
-            assert a.payoff_before == b.payoff_before
-            assert a.payoff_after == b.payoff_after
-        assert fast.configurations == compressed.configurations
-        assert int(rng_fast.integers(0, 2**62)) == int(rng_class.integers(0, 2**62))
-
-
-def test_class_view_answers_match_kernel_view_along_a_path():
-    game, _ = sweep_case(7)
-    start = random_configuration(game, seed=7)
-    from repro.kernel.engine import KernelView
-
-    fast = KernelView(game, start)
-    view = ClassView(game, start)
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        assert view.is_stable() == fast.is_stable()
-        unstable = view.unstable_miners()
-        assert unstable == fast.unstable_miners()
-        if not unstable:
-            break
-        for miner in game.miners:
-            assert view.improving_moves(miner) == fast.improving_moves(miner)
-            assert view.best_response(miner) == fast.best_response(miner)
-            assert view.payoff(miner) == fast.payoff(miner)
-        mover = unstable[int(rng.integers(0, len(unstable)))]
-        moves = view.improving_moves(mover)
-        target = moves[int(rng.integers(0, len(moves)))]
-        view.apply(mover, target)
-        fast.apply(mover, target)
-    assert view.configuration() == fast.configuration()
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,12 @@ class TestRun:
 
 
 class TestDemo:
+    def test_class_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _run(["demo", "--backend", "class"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'class'" in capsys.readouterr().err
+
     def test_demo_reports_equilibrium(self):
         code, text = _run(["demo", "--miners", "5", "--coins", "2", "--seed", "3"])
         assert code == 0

@@ -146,7 +146,7 @@ class TestRestrictedLearning:
             LearningEngine().run(restricted, config)
 
     @pytest.mark.parametrize("form", ["allowed", "restricted-game"])
-    @pytest.mark.parametrize("backend", ["fast", "exact", "class"])
+    @pytest.mark.parametrize("backend", ["fast", "exact"])
     def test_masked_run_rejects_illegal_start(self, backend, form):
         # Every miner may mine c1/c2 only, yet all start on c3: the run
         # must refuse the start instead of converging off-mask.

@@ -99,6 +99,15 @@ def tensor_job(kernel, game, policy, scheduler, start, seed):
     )
 
 
+def random_mask(game, rng):
+    """Each miner keeps each coin with probability 0.7 (at least one)."""
+    allowed = {}
+    for miner in game.miners:
+        picks = [coin for coin in game.coins if rng.random() < 0.7]
+        allowed[miner] = picks or [game.coins[int(rng.integers(0, len(game.coins)))]]
+    return allowed
+
+
 def assert_population_matches(jobs, refs):
     """One run_trajectory_population call; every outcome bit-identical."""
     outcomes = run_trajectory_population(jobs)
@@ -132,14 +141,7 @@ def test_population_parity_masked():
     for seed in range(60):
         n, k = SIZES[seed % 4]  # keep the masked sweep on small shapes
         base = random_game(n, k, seed=seed + 50)
-        rng = np.random.default_rng(seed)
-        allowed = {}
-        for miner in base.miners:
-            picks = [coin for coin in base.coins if rng.random() < 0.7]
-            allowed[miner] = picks or [
-                base.coins[int(rng.integers(0, len(base.coins)))]
-            ]
-        game = base.with_allowed(allowed)
+        game = base.with_allowed(random_mask(base, np.random.default_rng(seed)))
         kernel = KernelGame(game)
         start = random_configuration(game, seed=seed + 9000)
         policy = POLICIES[seed % len(POLICIES)]
@@ -227,22 +229,45 @@ def test_stable_mask_matches_is_stable():
 
 
 def test_simultaneous_population_parity():
-    """Batched simultaneous rounds replicate run_simultaneous exactly."""
-    jobs, refs = [], []
+    """Batched simultaneous rounds replicate run_simultaneous exactly.
+
+    Unmasked games start at random; masked ones (float and int lanes)
+    start every miner on its first allowed coin. Finals, verdicts and
+    final generator states must all match.
+    """
+    cases = []
     for seed in range(20):
         game = random_game(6, 3, seed=seed + 600)
+        cases.append((game, random_configuration(game, seed=seed)))
+    for seed in range(20):
+        rng = np.random.default_rng(seed + 700)
+        if seed % 2:
+            base = random_game(6, 3, seed=seed + 700)
+        else:
+            base = Game.create(
+                powers=[int(rng.integers(1, 9)) for _ in range(6)],
+                reward_values=[int(rng.integers(1, 6)) for _ in range(3)],
+            )
+        allowed = random_mask(base, rng)
+        game = base.with_allowed(allowed)
+        cases.append(
+            (game, Configuration(game.miners, [allowed[m][0] for m in game.miners]))
+        )
+    jobs, refs = [], []
+    for game, start in cases:
         kernel = KernelGame(game)
-        start = random_configuration(game, seed=seed)
         for inertia in (0.0, 0.25):
+            ref_rng = np.random.default_rng(9)
             ref = run_simultaneous(
                 game, start, inertia=inertia, max_rounds=300,
-                seed=np.random.default_rng(9), backend="fast",
+                seed=ref_rng, backend="fast",
             )
             refs.append((
                 ref.rounds,
                 ref.converged,
                 ref.cycle_start,
                 tuple(kernel.assignment_of(ref.final)),
+                ref_rng.bit_generator.state,
             ))
             jobs.append(SimultaneousJob(
                 kernel=kernel,
@@ -251,13 +276,15 @@ def test_simultaneous_population_parity():
                 inertia=inertia,
                 max_rounds=300,
             ))
+    assert {kernel_lane(job.kernel) for job in jobs[40:]} == {"int", "float"}
     outcomes = run_simultaneous_population(jobs)
     for index, (out, ref) in enumerate(zip(outcomes, refs)):
-        rounds, converged, cycle_start, final = ref
+        rounds, converged, cycle_start, final, rng_state = ref
         assert out.rounds == rounds, index
         assert out.converged == converged, index
         assert out.cycle_start == cycle_start, index
         assert out.final_assign == final, index
+        assert jobs[index].rng.bit_generator.state == rng_state, index
 
 
 @pytest.mark.parametrize(

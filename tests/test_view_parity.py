@@ -11,6 +11,8 @@ now run on the integer kernel too.
 
 from __future__ import annotations
 
+import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.convergence import measure_convergence
 from repro.core.configuration import Configuration
 from repro.core.equilibrium import greedy_equilibrium
 from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.core.restricted import RestrictedGame
+from repro.kernel.batch import BatchRunner
 from repro.kernel.engine import KernelView
 from repro.learning.engine import LearningEngine
 from repro.learning.examples import PowerWeightedScheduler, SecondBestPolicy
@@ -33,7 +37,9 @@ from repro.learning.policies import (
     RandomImprovingPolicy,
 )
 from repro.learning.schedulers import ActivationScheduler
-from repro.learning.view import ExactView, GameView, make_view
+from repro.learning.simultaneous import run_simultaneous
+from repro.learning.view import BACKENDS, ExactView, GameView, make_view
+from repro.run import RunSpec
 
 
 def assert_trajectories_identical(exact, fast):
@@ -204,13 +210,16 @@ class BiasedRestrictedPolicy(BetterResponsePolicy):
 
 
 def test_restricted_custom_select_runs_identically_on_both_backends():
-    for game_seed in range(15):
+    """Custom policies on masked games — one also mixing ``max_rpu_move``
+    with RNG draws — run draw-for-draw alike on both backends."""
+    for game_seed, policy in itertools.product(
+        range(15), (BiasedRestrictedPolicy(), RandomizedGreedyPolicy())
+    ):
         game = random_game(7, 3, seed=game_seed + 900)
         rng = np.random.default_rng(game_seed)
         restricted, start = _random_restriction(game, rng)
         rng_exact = np.random.default_rng(game_seed + 1)
         rng_fast = np.random.default_rng(game_seed + 1)
-        policy = BiasedRestrictedPolicy()
         exact = LearningEngine(policy=policy, backend="exact").run(
             restricted, start, seed=rng_exact
         )
@@ -255,7 +264,7 @@ def test_masked_views_agree_with_restricted_game_queries():
         game = restricted
         views = [
             make_view(restricted, start, backend=backend)
-            for backend in ("exact", "fast", "class")
+            for backend in ("exact", "fast")
         ]
         for view in views:
             for miner in game.miners:
@@ -286,6 +295,35 @@ def test_make_view_backends_and_validation():
     assert isinstance(fast, GameView)
     with pytest.raises(ValueError, match="backend"):
         make_view(game, start, backend="float")
+
+
+BACKEND_ENTRY_POINTS = {
+    "RunSpec": lambda game, start, backend: RunSpec(game=game, runs=1, backend=backend),
+    "BatchRunner": lambda game, start, backend: BatchRunner(backend=backend),
+    "LearningEngine": lambda game, start, backend: LearningEngine(backend=backend),
+    "make_view": lambda game, start, backend: make_view(game, start, backend=backend),
+    "run_simultaneous": lambda game, start, backend: run_simultaneous(
+        game, start, backend=backend
+    ),
+    "measure_convergence": lambda game, start, backend: measure_convergence(
+        game, runs=2, seed=0, backend=backend
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["class", "float"])
+@pytest.mark.parametrize("entry", sorted(BACKEND_ENTRY_POINTS))
+def test_backend_outside_backends_is_rejected_everywhere(entry, backend):
+    """Every backend knob raises the one check_backend error."""
+    game = random_game(5, 2, seed=3)
+    start = random_configuration(game, seed=4)
+    message = (
+        f"backend must be 'fast' or 'exact', got {backend!r} "
+        '(population-scale class runs are RunSpec(kind="classes"))'
+    )
+    assert BACKENDS == ("fast", "exact")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BACKEND_ENTRY_POINTS[entry](game, start, backend)
 
 
 def test_selection_helpers_accept_the_current_coin():
