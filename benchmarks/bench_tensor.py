@@ -17,6 +17,11 @@ int-lane case times the exact int64 lane that integer games (such as
 perfbench's ``population`` workload) take. Every variant asserts the
 same converged-run count, so the speedup is measured on bit-identical
 work (``tests/test_tensor_parity.py`` holds the full parity proof).
+
+The ``_scan`` cases time one int-lane stability scan on its own, into
+a preallocated workspace: 400 games × 100 miners × 10 coins tracks the
+margin table of a large bucket, 20 × 10 × 3 the per-call numpy
+dispatch that dominates small buckets.
 """
 
 import numpy as np
@@ -25,7 +30,7 @@ import pytest
 from repro.core.factories import random_game
 from repro.core.game import Game
 from repro.kernel.core import KernelGame
-from repro.kernel.tensor import kernel_lane
+from repro.kernel.tensor import _scan, _workspace, kernel_lane
 from repro.run import RunSpec, run_many
 
 #: The E2-style workload: the suite's largest standard game shape.
@@ -43,6 +48,36 @@ def _int_game(seed: int) -> Game:
 
 #: The int64 lane, which integer games such as perfbench's use.
 INT_GAME = _int_game(0)
+
+
+def _scan_args(games: int, miners: int, coins: int, seed: int = 0):
+    """Random int-lane states and a workspace, as ``_run_bucket`` passes them."""
+    rng = np.random.default_rng(seed)
+    powers = rng.integers(1, 1000, (games, miners))
+    rewards = rng.integers(10, 100, (games, coins))
+    assign = rng.integers(0, coins, (games, miners))
+    rows = np.arange(games)[:, None]
+    mass = np.zeros((games, coins), dtype=np.int64)
+    np.add.at(mass, (rows, assign), powers)
+    thr = rewards[rows, assign] * powers
+    return powers, rewards, assign, mass, None, None, thr, _workspace(games, coins, None)
+
+
+@pytest.mark.parametrize("games,miners,coins", [(400, 100, 10), (20, 10, 3)])
+def test_scan(benchmark, games, miners, coins):
+    args = _scan_args(games, miners, coins)
+    powers, rewards, assign, mass = args[:4]
+    _, unstable = benchmark(_scan, *args)
+    # Per-miner brute force: miner i on c gains by moving to j != c iff
+    # R_j·M_c > R_c·(M_j + p_i).
+    rows = np.arange(games)[:, None]
+    cur_r, cur_m = rewards[rows, assign], mass[rows, assign]
+    gains = rewards[:, None, :] * cur_m[:, :, None] > cur_r[:, :, None] * (
+        mass[:, None, :] + powers[:, :, None]
+    )
+    gains &= assign[:, :, None] != np.arange(coins)
+    assert (unstable == gains.any(axis=2)).all()
+    assert unstable.any() and not unstable.all()
 
 
 def _population(executor: str, runs: int, game: Game = GAME):

@@ -92,18 +92,24 @@ def greedy_equilibrium(game: Game) -> Configuration:
     return _greedy_extend(game, {}, sorted_by_power(game.miners))
 
 
+#: Default scan cap of :func:`enumerate_equilibria`: the space backend
+#: scans this many nodes in about a second at most, so a game far beyond
+#: it fails at once instead of running for hours.
+_SCAN_LIMIT = 100_000
+
+
 def enumerate_equilibria(
     game: Game,
     *,
-    limit: Optional[int] = None,
+    limit: Optional[int] = _SCAN_LIMIT,
     backend: str = "space",
 ) -> List[Configuration]:
     """All pure equilibria of the game, by exhaustive search.
 
     ``limit`` caps the number of *configurations scanned* (not
     equilibria found) as a safety valve; exceeding it raises
-    :class:`InvalidModelError` so callers never silently get a partial
-    answer.
+    :class:`InvalidModelError` before the scan starts, so callers never
+    silently get a partial answer. ``limit=None`` lifts the cap.
 
     ``backend="space"`` (the default) scans integer configuration codes
     through :class:`repro.kernel.space.ConfigSpace`: numpy blocks of
@@ -125,7 +131,7 @@ def enumerate_equilibria(
         if limit is not None and count > limit:
             raise InvalidModelError(
                 f"game has {count} configurations, above the scan limit {limit}; "
-                "enumeration is only for small games"
+                "pass a larger limit, or limit=None to lift it"
             )
         return [config for config in game.all_configurations() if game.is_stable(config)]
     if backend != "space":
@@ -136,9 +142,10 @@ def enumerate_equilibria(
 
     space = ConfigSpace(game)
     if limit is not None and space.scan_size > limit:
+        unit = "orbits" if space.has_symmetry else "configurations"
         raise InvalidModelError(
-            f"game has {space.scan_size} configurations to scan, above the scan limit "
-            f"{limit}; enumeration is only for small games"
+            f"game has {space.scan_size} {unit} to scan, above the scan limit {limit}; "
+            "pass a larger limit, or limit=None to lift it"
         )
     # The limit also caps the orbit-expanded result: a symmetric game
     # can have few orbits but combinatorially many equilibria.

@@ -15,13 +15,14 @@ arrays; the loop ends when the population is empty.
 The stability scan never builds a per-miner tensor. A miner's payoff
 on coin *c* is ``R_c·p/M_c``, so whether miner *i* gains by moving
 from *c* to *j* depends on *i* only through *c* and its power: each
-step builds one per-coin margin table ``T[g, c, j]`` (``(games × coins
-× coins)``), reduces it to each coin's best margin, gathers that per
-miner by assignment (one flat ``np.take``) and compares against the
-miner's threshold — O(G·k² + G·n) per lockstep step. The int lane keeps
-the thresholds ``R[assign]·p`` as state: the apply phase rewrites the
-one entry per game that moved. The policy phase reads the activated
-miner's row ``T[g, cur, :]`` of the same table. A uniform pick of the
+step writes one coin-major margin table ``T[j, g, c]`` into a
+workspace each bucket allocates once, takes each coin's best margin as
+an elementwise max over the ``k`` target slabs, gathers that per miner
+(one flat ``np.take``) and compares against the miner's threshold —
+O(G·k² + G·n) per lockstep step. The int lane keeps the thresholds
+``R[assign]·p`` as state: the apply phase rewrites the one entry per
+game that moved. The policy phase reads the activated miner's row
+``T[:, g, cur]`` of the same table with one gather. A uniform pick of the
 ``d``-th unstable miner or improving coin reads each row's ``d``-th
 True from one ``flatnonzero`` of the whole mask (:func:`_nth_true`).
 
@@ -81,6 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.configuration import Configuration
 from repro.exceptions import ConvergenceError
 from repro.kernel.core import KernelGame
 from repro.kernel.draws import draw_source
@@ -221,7 +223,7 @@ class TrajectoryJob:
     ``policy``/``scheduler`` are kind codes (:data:`VECTOR_POLICIES` /
     :data:`VECTOR_SCHEDULERS`); map strategy *objects* with
     :func:`policy_kind` / :func:`scheduler_kind`. A masked game's
-    allowed coins come from ``kernel.allowed``.
+    allowed coins come from ``kernel.allowed``; the start must sit on them.
     """
 
     kernel: KernelGame
@@ -267,6 +269,7 @@ def run_trajectory_population(jobs: Sequence[TrajectoryJob]) -> List[TrajectoryO
             raise ValueError(
                 f"scheduler must be one of {VECTOR_SCHEDULERS}, got {job.scheduler!r}"
             )
+        _check_start(job)
         lane = lanes.get(id(job.kernel))
         if lane is None:
             lane = lanes[id(job.kernel)] = kernel_lane(job.kernel)
@@ -302,9 +305,16 @@ def run_trajectory_population(jobs: Sequence[TrajectoryJob]) -> List[TrajectoryO
     return outcomes  # type: ignore[return-value]
 
 
+def _check_start(job) -> None:
+    """Raise, as the scalar engine does, unless a masked job starts on allowed coins."""
+    if job.kernel.allowed is not None:
+        game = job.kernel.game
+        coins = [game.coins[int(c)] for c in job.assign]
+        game.validate_configuration(Configuration(game.miners, coins))
+
+
 def _run_scalar_job(job: TrajectoryJob) -> TrajectoryOutcome:
     """Arbitrary-precision fallback: the scalar stepper, summary mode."""
-    from repro.core.configuration import Configuration
     from repro.kernel.engine import KernelView
     from repro.learning.engine import run_better_response
 
@@ -402,34 +412,46 @@ def _f32_aux(powers, rewards, mass, lane):
     )
 
 
-def _scan(powers, rewards, assign, mass, allowed_m, f32, thr=None):
+def _workspace(games: int, k: int, f32) -> np.ndarray:
+    """Two flat int64 (float lane: float32) table buffers for *games* games."""
+    return np.empty((2, games * k * k), dtype=np.int64 if f32 is None else np.float32)
+
+
+def _scan(powers, rewards, assign, mass, allowed_m, f32, thr=None, work=None):
     """The per-coin margin table and exact per-miner instability.
 
-    ``T[g, c, j]`` is the module docstring's lane formula. ``j == c``
-    compares a payoff against itself: ``T[c, c]`` is 0 (int) or about
-    ``−ε·M_c`` (float), never above a threshold, so the diagonal needs
-    no mask. Unrestricted games reduce the table to each coin's best
-    margin, then gather per miner with one flat ``np.take``; restricted
-    games gather each miner's row, mask it, then reduce. The int lane
-    compares against the thresholds *thr* (``R[assign]·p``), which the
-    stepper keeps as state and :func:`stable_mask` leaves to this call
-    to build. Float-lane miners whose best margin lands inside the
+    ``T[j, g, c]`` is the module docstring's lane formula, written with
+    ufunc ``out=`` into the ``(k, g, k)`` prefix of *work* (a
+    :func:`_workspace` for at least ``g`` games; None allocates one).
+    Each call rewrites the whole prefix, so a shrinking bucket never
+    reads stale rows. ``j == c`` compares a payoff against itself:
+    ``T[c, :, c]`` is 0 (int) or about ``−ε·M_c`` (float), never above
+    a threshold, so the diagonal needs no mask. Unrestricted games take
+    each coin's best margin with ``np.maximum.reduce`` over the ``k``
+    target slabs, then gather per miner with one flat ``np.take``;
+    restricted games gather each miner's row, mask it, then reduce. The
+    int lane compares against the thresholds *thr* (``R[assign]·p``),
+    which the stepper keeps as state and :func:`stable_mask` leaves to
+    this call to build. Float-lane miners whose best margin lands inside the
     bracket are re-resolved by :func:`_f64_margin_rows`.
     """
+    g, k = mass.shape
+    work = _workspace(g, k, f32) if work is None else work
+    table, spare = (w[: g * k * k].reshape(k, g, k) for w in work)
     if f32 is None:
-        table = mass[:, :, None] * rewards[:, None, :] - rewards[:, :, None] * mass[:, None, :]
+        np.multiply(mass, rewards.T[:, :, None], out=table)
+        np.subtract(table, np.multiply(rewards, mass.T[:, :, None], out=spare), out=table)
     else:
         rewards32, p32, p_gap32 = f32
         mass32 = mass.astype(np.float32)
-        q_lo = (mass32 / rewards32) * _LO_F32
-        table = q_lo[:, :, None] * rewards32[:, None, :]
-        table -= mass32[:, None, :]
-    rows = np.arange(len(assign))[:, None]
+        np.multiply((mass32 / rewards32) * _LO_F32, rewards32.T[:, :, None], out=table)
+        np.subtract(table, mass32.T[:, :, None], out=table)
+    rows = np.arange(g)[:, None]
     if allowed_m is None:
-        top = np.take(table.max(axis=2), assign + rows * table.shape[1])
+        top = np.take(np.maximum.reduce(table, axis=0), assign + rows * k)
     else:
         lowest = np.iinfo(np.int64).min if f32 is None else -np.inf
-        top = np.where(allowed_m, table[rows, assign], lowest).max(axis=2)
+        top = np.where(allowed_m, table.transpose(1, 2, 0)[rows, assign], lowest).max(axis=2)
     if f32 is None:
         return table, top > (rewards[rows, assign] * powers if thr is None else thr)
     unstable = top > p32
@@ -442,15 +464,16 @@ def _scan(powers, rewards, assign, mass, allowed_m, f32, thr=None):
     return table, unstable
 
 
-def _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner):
+def _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner, trow=None):
     """Exact improving-coin mask ``(G, k)`` of one miner per game.
 
-    The policy phase's read of :func:`_scan`'s table: row
-    ``T[g, assign[g, miner[g]], :]`` against that miner's thresholds.
+    The policy phase's read of :func:`_scan`'s table: one gather of row
+    ``T[:, trow[g], assign[g, miner[g]]]`` against that miner's
+    thresholds; *trow* (None: ``g``) is a compacted game's table row.
     """
     rows = np.arange(assign.shape[0])
     cur = assign[rows, miner]
-    row = table[rows, cur]
+    row = table[:, rows if trow is None else trow, cur].T
     allow_sel = allowed_m[rows, miner] if allowed_m is not None else True
     if f32 is None:
         return (row > (rewards[rows, cur] * powers[rows, miner])[:, None]) & allow_sel
@@ -633,13 +656,15 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         rank = _rank_rows(jobs, lambda kg: kg.coin_names)
     f32 = _f32_aux(powers, rewards, mass, lane)
     thr = rewards[np.arange(total)[:, None], assign] * powers if exact else None
+    work = _workspace(total, k, f32)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
     source = draw_source(rngs, pol, sch)
     try:
         while owner.size:
-            table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32, thr)
+            table, unstable = _scan(powers, rewards, assign, mass, allowed_m, f32, thr, work)
             nu = np.count_nonzero(unstable, axis=1)
+            trow = None
 
             # Retire converged games, then budget-exhausted ones — the same
             # order the scalar loop checks (stability first, so a run that
@@ -661,7 +686,8 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                     recorder.count("tensor.compactions")
                 if not keep.any():
                     break
-                owner, assign, mass, table = owner[keep], assign[keep], mass[keep], table[keep]
+                owner, assign, mass = owner[keep], assign[keep], mass[keep]
+                trow = np.flatnonzero(keep)
                 powers, rewards = powers[keep], rewards[keep]
                 steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
                 unstable, nu = unstable[keep], nu[keep]
@@ -692,7 +718,9 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             # Policy phase: one target coin per activated miner.
             cur = assign[rows, miner]
             p_sel = powers[rows, miner]
-            mrow = _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner)
+            mrow = _improving_rows(
+                table, powers, rewards, assign, mass, allowed_m, f32, miner, trow
+            )
             counts = np.count_nonzero(mrow, axis=1)
             if pol == "first":
                 target = mrow.argmax(axis=1)
@@ -835,6 +863,7 @@ def run_simultaneous_population(jobs: Sequence[SimultaneousJob]) -> List[Simulta
             raise ValueError(f"inertia must be in [0, 1), got {job.inertia}")
         if job.max_rounds < 1:
             raise ValueError(f"max_rounds must be ≥ 1, got {job.max_rounds}")
+        _check_start(job)
         lane = lanes.get(id(job.kernel))
         if lane is None:
             lane = lanes[id(job.kernel)] = kernel_lane(job.kernel)
@@ -851,7 +880,6 @@ def run_simultaneous_population(jobs: Sequence[SimultaneousJob]) -> List[Simulta
 
 
 def _run_scalar_simultaneous(job: SimultaneousJob) -> SimultaneousOutcome:
-    from repro.core.configuration import Configuration
     from repro.learning.simultaneous import run_simultaneous
 
     game = job.kernel.game

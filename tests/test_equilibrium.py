@@ -1,5 +1,7 @@
 """Tests for the equilibrium toolkit (Appendix A, Lemma 2)."""
 
+import time
+
 import pytest
 
 from repro.core.assumptions import check_never_alone
@@ -96,6 +98,26 @@ class TestEnumeration:
         game = random_game(30, 3, seed=0)
         with pytest.raises(InvalidModelError, match="limit"):
             enumerate_equilibria(game, limit=1000)
+
+    @pytest.mark.parametrize("backend", ["space", "exact"])
+    def test_default_limit_fails_fast(self, backend):
+        # 5**22 configurations: without a default cap this scan never ends.
+        game = random_game(22, 5, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(InvalidModelError, match=f"{5**22} configurations") as info:
+            enumerate_equilibria(game, backend=backend)
+        assert time.perf_counter() - start < 1.0
+        assert "limit=None" in str(info.value)
+
+    def test_default_limit_names_the_orbit_count(self):
+        # Interchangeable miners: the cap counts orbits, C(502, 2) here.
+        game = Game.create([1] * 500, [5, 7, 9])
+        with pytest.raises(InvalidModelError, match="125751 orbits"):
+            enumerate_equilibria(game)
+
+    def test_limit_none_lifts_the_cap(self):
+        game = random_game(4, 2, seed=2)
+        assert enumerate_equilibria(game, limit=None) == enumerate_equilibria(game)
 
     def test_at_least_one_equilibrium_exists(self):
         # Proposition 3: every game has a pure equilibrium.

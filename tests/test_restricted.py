@@ -1,5 +1,6 @@
 """Tests for the asymmetric (restricted) game extension."""
 
+import numpy as np
 import pytest
 
 from repro.core.configuration import Configuration
@@ -8,6 +9,13 @@ from repro.core.factories import random_game
 from repro.core.potential import compare_potential
 from repro.core.restricted import RestrictedGame
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
+from repro.kernel.core import KernelGame
+from repro.kernel.tensor import (
+    SimultaneousJob,
+    TrajectoryJob,
+    run_simultaneous_population,
+    run_trajectory_population,
+)
 from repro.learning.engine import LearningEngine
 from repro.learning.policies import (
     MaxRpuPolicy,
@@ -159,6 +167,25 @@ class TestRestrictedLearning:
                 engine.run(game.with_allowed(mask), start, seed=0)
             else:
                 engine.run(RestrictedGame(game, mask), start, seed=0)
+
+    @pytest.mark.parametrize("stepper", ["sequential", "simultaneous"])
+    def test_tensor_steppers_reject_illegal_start(self, stepper):
+        # The tensor kernel's steppers hold the scalar engine's rule: a
+        # masked job starting on a forbidden coin is refused up front.
+        game = random_game(4, 3, seed=1)
+        kernel = KernelGame(game.with_allowed({m: game.coins[:2] for m in game.miners}))
+        legal = TrajectoryJob(kernel, [0, 1, 0, 1], np.random.default_rng(0))
+        illegal = TrajectoryJob(kernel, [2, 2, 2, 2], np.random.default_rng(0))
+        if stepper == "simultaneous":
+            legal, illegal = (
+                SimultaneousJob(job.kernel, job.assign, job.rng) for job in (legal, illegal)
+            )
+            run = run_simultaneous_population
+        else:
+            run = run_trajectory_population
+        with pytest.raises(InvalidConfigurationError, match="cannot mine"):
+            run([legal, illegal])
+        assert run([legal])[0].converged
 
 
 class TestRestrictedEquilibrium:

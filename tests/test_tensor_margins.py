@@ -1,14 +1,18 @@
 """The tensor kernel's per-coin margin table against the scalar core.
 
-:func:`repro.kernel.tensor._scan` decides stability from one
-``(games × coins × coins)`` table per step instead of a per-miner
-tensor, and the policy phase reads the activated miner's row from the
-same table. These tests pin that table to
-:meth:`KernelGame.better_moves` / :meth:`KernelGame.stable_index` on
+:func:`repro.kernel.tensor._scan` decides stability from one coin-major
+margin table ``T[j, g, c]`` per step, written into the prefix of a
+:func:`~repro.kernel.tensor._workspace` that a bucket allocates once and
+reuses as it shrinks, instead of a per-miner tensor; the policy phase
+reads the activated miner's row from the same table with one gather,
+also after the bucket compacted. These tests pin the scan and that row
+to :meth:`KernelGame.better_moves` / :meth:`KernelGame.stable_index` on
 random states of both batched lanes, with and without allowed-coin
-masks, and drive a float-lane population whose float32 margins land
-inside the bracket, so the float64 resolution tier must run for the
-population to stay draw-for-draw identical to the scalar stepper.
+masks, through a workspace left dirty by an earlier, larger scan; run
+buckets that compact several times against the scalar stepper; and
+drive a float-lane population whose float32 margins land inside the
+bracket, so the float64 resolution tier must run for the population to
+stay draw-for-draw identical to the scalar stepper.
 """
 
 from __future__ import annotations
@@ -19,15 +23,23 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.factories import random_configuration
+from repro.core.factories import random_configuration, random_game
 from repro.core.game import Game
 from repro.kernel.core import KernelGame
-from repro.kernel.tensor import _f32_aux, _improving_rows, _scan, kernel_lane, stable_mask
+from repro.kernel.tensor import (
+    _f32_aux,
+    _improving_rows,
+    _scan,
+    _workspace,
+    kernel_lane,
+    stable_mask,
+)
 from repro.obs.recorder import MetricsRecorder, observe
 from test_tensor_parity import (
     POLICIES,
     SCHEDULERS,
     assert_population_matches,
+    random_mask,
     scalar_reference,
     tensor_job,
 )
@@ -156,7 +168,13 @@ def test_margin_table_verdicts_match_scalar_core(case):
         for i, coins in enumerate(allowed):
             allowed_m[:, i, list(coins)] = True
     f32 = _f32_aux(powers, rewards, mass, kernel_lane(kernel))
-    table, unstable = _scan(powers, rewards, assigns, mass, allowed_m, f32)
+    # A workspace with room to spare, filled with the largest value of
+    # its dtype: a read of a cell the scan did not write claims an
+    # improving move and fails the comparison with the scalar core.
+    work = _workspace(G + 3, k, f32)
+    work.fill(np.finfo(work.dtype).max if f32 is not None else np.iinfo(work.dtype).max)
+    table, unstable = _scan(powers, rewards, assigns, mass, allowed_m, f32, work=work)
+    assert np.shares_memory(table, work)
     rows = [
         _improving_rows(table, powers, rewards, assigns, mass, allowed_m, f32, np.full(G, i))
         for i in range(n)
@@ -170,3 +188,50 @@ def test_margin_table_verdicts_match_scalar_core(case):
             assert bool(unstable[g, i]) == bool(moves)
             assert list(np.flatnonzero(rows[i][g])) == moves
         assert bool(stable[g]) == kernel.stable_index(assign, mass_g)
+
+    # A compacted bucket: its games read their rows of the table above
+    # through ``trow``, then rescan into the same, now larger, prefix.
+    sel = np.arange(G)[::-2]
+    part = [a[sel] for a in (powers, rewards, assigns, mass)]
+    allowed_s = None if allowed_m is None else allowed_m[sel]
+    f32_s = None if f32 is None else tuple(a[sel] for a in f32)
+    for i in range(n):
+        row = _improving_rows(table, *part, allowed_s, f32_s, np.full(sel.size, i), sel)
+        assert (row == rows[i][sel]).all()
+    _, rescanned = _scan(*part, allowed_s, f32_s, work=work)
+    assert (rescanned == unstable[sel]).all()
+
+
+def _int_game(seed: int, n: int, k: int) -> Game:
+    rng = np.random.default_rng(seed)
+    return Game.create(
+        [int(p) for p in rng.choice(np.arange(1, 200), n, replace=False)],
+        [int(r) for r in rng.integers(10, 100, k)],
+    )
+
+
+def test_compacting_buckets_reuse_the_workspace_prefix():
+    """Runs retire at different steps, so each bucket shrinks many times
+    and later steps write a shorter prefix over rows a larger scan left
+    behind; every outcome must still match the scalar stepper."""
+    jobs, refs = [], []
+    for seed in range(192):
+        # Masked games get a shape of their own, so that unmasked
+        # buckets take the unrestricted reduction.
+        n = 8 + seed % 4 // 2
+        game = _int_game(seed, n, 4) if seed % 2 else random_game(n, 4, seed=seed)
+        if n == 9:
+            game = game.with_allowed(random_mask(game, np.random.default_rng(seed)))
+        kernel = KernelGame(game)
+        start = random_configuration(game, seed=seed + 900)
+        policy = POLICIES[(seed // 4) % len(POLICIES)]
+        refs.append(scalar_reference(game, policy, SCHEDULERS[0], start, seed))
+        jobs.append(tensor_job(kernel, game, policy, SCHEDULERS[0], start, seed))
+    assert {kernel_lane(job.kernel) for job in jobs} == {"int", "float"}
+    recorder = MetricsRecorder()
+    with observe(recorder):
+        assert_population_matches(jobs, refs)
+    # 24 buckets (6 policies × 2 lanes × masked or not) of 8 runs each,
+    # which retire over several steps: the prefix shrinks again and again.
+    assert recorder.counter("tensor.buckets") == 24
+    assert recorder.counter("tensor.compactions") > 3 * 24
