@@ -42,7 +42,7 @@ The kernel is the performance seam of the library:
   :class:`KernelView` stepper bit-for-bit — same RNG stream consumption,
   same tie-breaks, same finals — via a three-lane arithmetic strategy
   (exact int64 / bracketed floats with exact fallback / whole-game
-  scalar fallback, see :func:`~repro.kernel.tensor.kernel_lane`). Its
+  scalar fallback, see :func:`~repro.kernel.exact.kernel_lane`). Its
   bounded scheduler/policy draws replay numpy's sampler over pre-drawn
   raw words for all games at once (:mod:`repro.kernel.draws`).
 
@@ -63,11 +63,11 @@ from repro.kernel.classes import (
 )
 from repro.kernel.core import KernelGame
 from repro.kernel.engine import KernelView
+from repro.kernel.exact import kernel_lane
 from repro.kernel.space import ConfigSpace, DagReport
 from repro.kernel.tensor import (
     TrajectoryJob,
     TrajectoryOutcome,
-    kernel_lane,
     run_simultaneous_population,
     run_trajectory_population,
     stable_mask,

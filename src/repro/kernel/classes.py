@@ -62,6 +62,7 @@ from typing import (
 from repro._numeric import Number, multinomial, to_positive_fraction
 from repro.core.coin import Coin
 from repro.core.configuration import Configuration
+from repro.core.equilibrium import _SCAN_LIMIT
 from repro.core.game import Game
 from repro.core.miner import Miner
 from repro.exceptions import (
@@ -633,17 +634,19 @@ class ClassGame:
             rows = self._rows[k] = tuple(table)
         return rows
 
-    def stable_profiles(self, *, max_profiles: Optional[int] = None) -> List[Profile]:
+    def stable_profiles(self, *, max_profiles: Optional[int] = _SCAN_LIMIT) -> List[Profile]:
         """All equilibrium count matrices, by exhaustive exact scan.
 
         ``max_profiles`` caps the number of *scanned* profiles (the
-        orbit count), turning combinatorial blowups into
-        :class:`InvalidModelError` instead of an unbounded walk.
+        orbit count), by default at ``enumerate_equilibria``'s limit:
+        a larger scan raises :class:`InvalidModelError` before it
+        starts. ``max_profiles=None`` lifts the cap.
         """
-        if max_profiles is not None and self.profile_count() > max_profiles:
+        count = self.profile_count()
+        if max_profiles is not None and count > max_profiles:
             raise InvalidModelError(
-                f"{self.profile_count()} class profiles exceed the "
-                f"{max_profiles} scan limit"
+                f"{count} class profiles exceed the scan limit {max_profiles}; "
+                "pass a larger max_profiles, or max_profiles=None to lift it"
             )
         return [profile for profile in self.iter_profiles() if self.is_stable_counts(profile)]
 

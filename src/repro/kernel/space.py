@@ -21,9 +21,9 @@ path bound, Proposition 1's 4-cycle refuter — without building a
   in product order, fills their mass vectors and tests every (miner,
   coin) move on a block of up to ``_BLOCK_ROWS`` nodes at a time, with
   :meth:`~repro.kernel.core.KernelGame.stable_index`'s strict integer
-  inequality — on int64 in the kernel's ``"int"`` lane, on Python
-  integers in object arrays otherwise. The orbit quotient is built the
-  same way over count matrices;
+  inequality (:func:`~repro.kernel.exact.cross_gt`) — on int64, or on
+  object arrays only past int64. The orbit quotient is built the same
+  way over count matrices;
 * the **longest path** of either graph comes from peeling sinks level
   by level over a reverse CSR of the edges (:func:`_longest_path`); a
   node that is never peeled proves a cycle;
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -61,7 +62,7 @@ from repro.core.game import Game
 from repro.exceptions import InvalidConfigurationError, InvalidModelError
 from repro.kernel.classes import ClassGame, Profile
 from repro.kernel.core import KernelGame
-from repro.kernel.tensor import kernel_lane
+from repro.kernel.exact import cross_gt, kernel_lane
 from repro.obs.recorder import get_recorder
 
 #: Rows per block of the move builders; bounds their temporaries
@@ -134,6 +135,13 @@ class ConfigSpace:
         self.has_symmetry: bool = any(len(indices) > 1 for indices in kernel.classes)
         self._classes: Optional[ClassGame] = None
         self._parts: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
+        # The move test runs in the kernel's comparison lane. Kernel
+        # values are object arrays only when state passes int64 ("exact"
+        # lane), codes only when some code of C^n does.
+        lane = kernel_lane(kernel)
+        self._gains = partial(cross_gt, lane=lane, counter="space.escalations")
+        self._value_type = object if lane == "exact" else np.int64
+        self._code_type = np.int64 if self.n_coins**self.n_miners < 2**63 else object
 
     @property
     def scan_size(self) -> int:
@@ -405,15 +413,14 @@ class ConfigSpace:
         int32 while the space fits it.
 
         The move test is :meth:`KernelGame.stable_index`'s strict
-        integer inequality. Values are int64 in the ``"int"`` lane
-        (when codes fit too) and Python integers in object arrays
-        otherwise, so every verdict is exact.
+        integer inequality, exact in every lane (:func:`cross_gt`).
+        Values and codes are int64, or Python integers in object arrays
+        only once kernel state or codes pass int64.
         """
         _require_int64_ranks(self.size, "configurations")
         n = self.n_miners
         kernel = self.kernel
-        fits = kernel_lane(kernel) == "int" and self.n_coins**n <= np.iinfo(np.int64).max
-        dtype = np.int64 if fits else object
+        gains, dtype, code_type = self._gains, self._value_type, self._code_type
         alphabets = self._alphabets
         radix = [len(alphabet) for alphabet in alphabets]
         stride = [1] * n
@@ -422,17 +429,17 @@ class ConfigSpace:
         coin_of = [np.array(alphabet, dtype=np.int64) for alphabet in alphabets]
         powers = np.array(kernel.powers, dtype=dtype)
         rewards = np.array(kernel.rewards, dtype=dtype)
-        place = np.array(self._place, dtype=dtype)
+        place = np.array(self._place, dtype=code_type)
         # Ranks stay below the space size; int32 halves the edge arrays.
         rank_type = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
         for lo in range(0, self.size, _BLOCK_ROWS):
             ranks = np.arange(lo, min(lo + _BLOCK_ROWS, self.size), dtype=rank_type)
             rows = np.arange(len(ranks))
-            codes = np.zeros(len(ranks), dtype=dtype)
+            codes = np.zeros(len(ranks), dtype=code_type)
             mass = np.zeros((len(ranks), self.n_coins), dtype=dtype)
             for i in range(n):
                 coins = coin_of[i][ranks // stride[i] % radix[i]]
-                codes += coins.astype(dtype) * place[i]
+                codes += coins.astype(code_type) * place[i]
                 mass[rows, coins] += powers[i]
             src: List[np.ndarray] = []
             dst: List[np.ndarray] = []
@@ -445,7 +452,7 @@ class ConfigSpace:
                     # Staying put never passes: R_j·M_j > R_j·(M_j + p_i)
                     # is false for a positive power.
                     hit = np.flatnonzero(
-                        rewards[j] * mass_cur > reward_cur * (mass[:, j] + powers[i])
+                        gains(rewards[j], mass_cur, reward_cur, mass[:, j] + powers[i])
                     )
                     src.append(ranks[hit])
                     dst.append(ranks[hit] + (t - digit[hit]) * stride[i])
@@ -485,7 +492,7 @@ class ConfigSpace:
         radix, stride = self._orbit_digits()
         n_nodes = prod(radix)
         _require_int64_ranks(n_nodes, "count-matrix orbits")
-        dtype = np.int64 if kernel_lane(self.kernel) == "int" else object
+        gains, dtype = self._gains, self._value_type
         rewards = np.array(cgame.rewards, dtype=dtype)
         mass_rows = []
         moves = []
@@ -517,9 +524,10 @@ class ConfigSpace:
                 digit = digits[k]
                 for c, d, target in moves[k]:
                     to = target[digit]
-                    hit = np.flatnonzero(
-                        (to >= 0) & (rewards[d] * mass[:, c] > rewards[c] * (mass[:, d] + power))
-                    )
+                    valid = to >= 0
+                    m_to = mass[:, d] + power
+                    gain = gains(rewards[d], mass[:, c], rewards[c], m_to, where=valid)
+                    hit = np.flatnonzero(valid & gain)
                     src.append(ranks[hit])
                     dst.append(ranks[hit] + (to[hit] - digit[hit]) * stride[k])
             yield lo, ranks, np.concatenate(src), np.concatenate(dst)
@@ -545,9 +553,8 @@ class ConfigSpace:
         if part is not None:
             return part
         members = self._class_game().members[k]
-        dtype = np.int64 if self.n_coins**self.n_miners <= np.iinfo(np.int64).max else object
-        place = np.array([self._place[i] for i in members], dtype=dtype)
-        part = np.zeros(1, dtype=dtype)
+        place = np.array([self._place[i] for i in members], dtype=self._code_type)
+        part = np.zeros(1, dtype=self._code_type)
         free = np.arange(len(members))[None, :]
         for coin, count in enumerate(row):
             if not count:

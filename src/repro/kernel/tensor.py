@@ -26,12 +26,9 @@ game that moved. The policy phase reads the activated miner's row
 ``d``-th unstable miner or improving coin reads each row's ``d``-th
 True from one ``flatnonzero`` of the whole mask (:func:`_nth_true`).
 
-Exactness — three lanes, mirroring ``stochastic/lottery.py``'s
-int64-with-exact-fallback pattern:
+Exactness — the three lanes of :func:`repro.kernel.exact.kernel_lane`:
 
 ``"int"``
-    Every cross-multiplication fits int64 (bound:
-    ``max_reward · (total_power + max_power) < 2**62``).
     ``T = R_j·M_c − R_c·M_j`` against the threshold ``R_c·p_i`` is the
     scalar core's strict comparison rearranged — exact by construction.
 ``"float"``
@@ -41,16 +38,16 @@ int64-with-exact-fallback pattern:
     above ``p_i`` certainly improves and one at or below
     ``p_i − slack`` certainly does not (accumulated float32 error is
     ≤ ~3e-7, so a certain verdict is always right). Miners whose margin
-    lands inside the bracket re-run through a float64 screen with a
-    ``1e-14`` bracket (float64 error is ~1e-16·ops), and anything still
-    undecided — generically nothing — is settled with
-    arbitrary-precision Python integers. Final verdicts are therefore
-    exact regardless of which tier decided them.
+    lands inside the bracket get exact rows from :func:`_f64_margin_rows`.
 ``"exact"``
     State itself exceeds int64: the whole game falls back to the scalar
     :class:`~repro.kernel.engine.KernelView` stepper in
     ``record="summary"`` mode — same draws, same tie-breaks, same
     budget semantics, merely not batched.
+
+Every comparison outside the float32 table — those rows, best response,
+minimal-gain/max-rpu — is one :func:`repro.kernel.exact.cross_gt` call,
+so final verdicts are exact whichever tier decided them.
 
 All three lanes are draw-for-draw identical to the scalar stepper:
 each job carries its own ``numpy.random.Generator``, and every draw the
@@ -78,6 +75,7 @@ buckets gather each miner's table row and mask it before reducing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +84,7 @@ from repro.core.configuration import Configuration
 from repro.exceptions import ConvergenceError
 from repro.kernel.core import KernelGame
 from repro.kernel.draws import draw_source
+from repro.kernel.exact import cross_gt, kernel_lane
 from repro.obs.recorder import get_recorder
 
 __all__ = [
@@ -101,37 +100,18 @@ __all__ = [
     "stable_mask",
 ]
 
-#: Largest integer the int64 fast paths may produce (see lottery.py).
-_INT64_SAFE = 2**62
-
-#: Relative tolerance of the float64 comparison lane. Anything closer
-#: than this is re-resolved with exact integer arithmetic.
-_REL_TOL = 1e-14
+#: Relative bracket of the float-lane float32 margin table.
 _REL_TOL_F32 = 1e-5
 _LO_F32 = np.float32(1.0 - _REL_TOL_F32)
+
+#: The exact comparison, confirmations counted as the kernel's.
+_gains = partial(cross_gt, counter="tensor.escalations.exact")
 
 #: Policy kind codes the batched stepper implements.
 VECTOR_POLICIES = ("best", "random", "minimal", "max-rpu", "first", "epsilon")
 
 #: Scheduler kind codes the batched stepper implements.
 VECTOR_SCHEDULERS = ("uniform", "round-robin", "largest", "smallest")
-
-
-def kernel_lane(kernel: KernelGame) -> str:
-    """Which comparison lane a kernel's integer magnitudes admit.
-
-    ``"int"`` — int64 products; ``"float"`` — float64 prefilter with
-    exact confirmation; ``"exact"`` — scalar arbitrary-precision
-    fallback (state itself does not fit int64).
-    """
-    total = sum(kernel.powers)
-    peak = max(kernel.powers)
-    top = max(kernel.rewards)
-    if top * (total + peak) < _INT64_SAFE:
-        return "int"
-    if total + peak < _INT64_SAFE and top < _INT64_SAFE:
-        return "float"
-    return "exact"
 
 
 def policy_kind(policy) -> Optional[Tuple[str, float]]:
@@ -355,42 +335,17 @@ def _rank_rows(jobs: Sequence, keys, reverse: bool = False) -> np.ndarray:
 
 
 def _f64_margin_rows(powers, rewards, assign, mass, allowed_m, gis, iis):
-    """True improving rows for (game, miner) pairs via the float64 bracket.
-
-    Mid-tier resolver for pairs whose float32 margin landed inside the
-    wide f32 gap: recompute their margin rows with the tight float64
-    bracket in one vectorized pass, then settle any entry still inside
-    the f64 gap — generically none — with the strict integer
-    cross-multiplication of :meth:`KernelGame.better_moves` in
-    arbitrary precision. The returned rows are truth, not an
-    approximation.
+    """Exact improving rows (:meth:`KernelGame.better_moves`) for the
+    (game, miner) pairs whose float32 margin landed inside the bracket.
     """
     recorder = get_recorder()
     if recorder.enabled:
         recorder.count("tensor.escalations.f64", len(gis))
     cur = assign[gis, iis]
-    mc = mass[gis, cur].astype(np.float64)
-    rc = rewards[gis, cur].astype(np.float64)
-    q_lo = (mc / rc) * (1.0 - _REL_TOL)
-    A = q_lo[:, None] * rewards[gis].astype(np.float64)
-    A -= mass[gis]
-    p = powers[gis, iis].astype(np.float64)
-    slack = 2.0 * _REL_TOL * (mass[gis].sum(axis=1) + powers[gis].max(axis=1)).astype(np.float64)
-    imp = A > p[:, None]
-    gap = (A > (p - slack)[:, None]) ^ imp
-    if allowed_m is not None:
-        allow = allowed_m[gis, iis]
-        imp &= allow
-        gap &= allow
-    gap_count = int(np.count_nonzero(gap))
-    if gap_count:
-        recorder.count("tensor.escalations.exact", gap_count)
-        for ri, j in zip(*np.nonzero(gap)):
-            gi, c = gis[ri], cur[ri]
-            imp[ri, j] = int(rewards[gi, j]) * int(mass[gi, c]) > int(rewards[gi, c]) * (
-                int(mass[gi, j]) + int(powers[gi, iis[ri]])
-            )
-    return imp
+    allow = None if allowed_m is None else allowed_m[gis, iis]
+    r_cur, m_to = rewards[gis, cur][:, None], mass[gis] + powers[gis, iis][:, None]
+    imp = _gains(rewards[gis], mass[gis, cur][:, None], r_cur, m_to, "float", where=allow)
+    return imp if allow is None else imp & allow
 
 
 def _f32_aux(powers, rewards, mass, lane):
@@ -488,7 +443,7 @@ def _improving_rows(table, powers, rewards, assign, mass, allowed_m, f32, miner,
     return mrow
 
 
-def _best_response(rewards, mass, cur, p, allow, exact):
+def _best_response(rewards, mass, cur, p, allow, lane):
     """Batched :meth:`KernelGame.best_response_idx` for ``(G, m)`` miners.
 
     *cur* and *p* are the miners' current coins and powers, ``(G, m)``;
@@ -496,10 +451,8 @@ def _best_response(rewards, mass, cur, p, allow, exact):
     sequential stepper asks for one miner per game, the simultaneous
     stepper for all of them. Ascending-j scan with strict improvement
     over best-so-far, seeded at the current payoff — ties resolve to the
-    earliest coin, exactly like the scalar chain. Outside the int lane
-    each comparison is screened in float64 and anything inside the
-    ``_REL_TOL`` bracket is settled in Python integers. Returns -1 where
-    no improving move exists.
+    earliest coin, exactly like the scalar chain, each comparison exact
+    in the bucket's *lane*. Returns -1 where no improving move exists.
     """
     best_r = np.take_along_axis(rewards, cur, axis=1)
     best_den = np.take_along_axis(mass, cur, axis=1)
@@ -512,30 +465,14 @@ def _best_response(rewards, mass, cur, p, allow, exact):
             continue
         r_j = rewards[:, j][:, None]
         den_j = mass[:, j][:, None] + p
-        if exact:
-            beat = r_j * best_den > best_r * den_j
-        else:
-            lhs = r_j.astype(np.float64) * best_den.astype(np.float64)
-            rhs = best_r.astype(np.float64) * den_j.astype(np.float64)
-            diff = lhs - rhs
-            tol = (lhs + rhs) * _REL_TOL
-            beat = diff > tol
-            unsure = (diff >= -tol) & ~beat & elig
-            unsure_count = int(np.count_nonzero(unsure))
-            if unsure_count:
-                get_recorder().count("tensor.escalations.exact", unsure_count)
-            for gi, i in zip(*np.nonzero(unsure)):
-                beat[gi, i] = int(rewards[gi, j]) * int(best_den[gi, i]) > int(
-                    best_r[gi, i]
-                ) * int(den_j[gi, i])
-        beat &= elig
+        beat = elig & _gains(r_j, best_den, best_r, den_j, lane, where=elig)
         best_r = np.where(beat, r_j, best_r)
         best_den = np.where(beat, den_j, best_den)
         target = np.where(beat, j, target)
     return target
 
 
-def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize):
+def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, lane, maximize):
     """Batched minimal-gain (``maximize=False``) / max-rpu target choice.
 
     Scans improving coins ascending; keeps the smallest (largest)
@@ -554,26 +491,7 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize):
         if not mj.any():
             continue
         den_j = mass[:, j] + p_sel
-        if exact:
-            lhs = rewards[:, j] * best_den
-            rhs = best_r * den_j
-            gt = lhs > rhs
-            eq = lhs == rhs
-        else:
-            lhs = rewards[:, j].astype(np.float64) * best_den.astype(np.float64)
-            rhs = best_r.astype(np.float64) * den_j.astype(np.float64)
-            diff = lhs - rhs
-            tol = (lhs + rhs) * _REL_TOL
-            gt = diff > tol
-            eq = np.zeros(g, dtype=bool)
-            unsure = np.flatnonzero((diff >= -tol) & ~gt & mj & have)
-            if unsure.size:
-                get_recorder().count("tensor.escalations.exact", int(unsure.size))
-            for gi in unsure:
-                lhs_e = int(rewards[gi, j]) * int(best_den[gi])
-                rhs_e = int(best_r[gi]) * int(den_j[gi])
-                gt[gi] = lhs_e > rhs_e
-                eq[gi] = lhs_e == rhs_e
+        gt, eq = _gains(rewards[:, j], best_den, best_r, den_j, lane, where=mj & have, ties=True)
         if maximize:
             better = gt | (eq & (rank[:, j] > best_rank))
         else:
@@ -627,7 +545,6 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     pol = jobs[0].policy
     sch = jobs[0].scheduler
     eps = jobs[0].epsilon
-    exact = lane == "int"
 
     powers = np.array([job.kernel.powers for job in jobs], dtype=np.int64)
     rewards = np.array([job.kernel.rewards for job in jobs], dtype=np.int64)
@@ -655,7 +572,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     if pol in ("minimal", "max-rpu"):
         rank = _rank_rows(jobs, lambda kg: kg.coin_names)
     f32 = _f32_aux(powers, rewards, mass, lane)
-    thr = rewards[np.arange(total)[:, None], assign] * powers if exact else None
+    thr = rewards[np.arange(total)[:, None], assign] * powers if lane == "int" else None
     work = _workspace(total, k, f32)
 
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
@@ -728,12 +645,12 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 target = _nth_true(mrow, counts, _bounded_draws(source, owner, counts, recorder))
             elif pol in ("minimal", "max-rpu"):
                 target = _extreme_gain_targets(
-                    rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu"
+                    rewards, mass, mrow, p_sel, rank, lane, pol == "max-rpu"
                 )
             else:  # best response, or epsilon-greedy's greedy pick
                 allow = None if allowed_m is None else allowed_m[rows, miner][:, None]
                 target = _best_response(
-                    rewards, mass, cur[:, None], p_sel[:, None], allow, exact
+                    rewards, mass, cur[:, None], p_sel[:, None], allow, lane
                 )[:, 0]
                 if pol == "epsilon":  # a uniform draw decides explore/exploit
                     explore = np.zeros(g, dtype=bool)
@@ -900,7 +817,6 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
     total = len(jobs)
     n = jobs[0].kernel.n_miners
     k = jobs[0].kernel.n_coins
-    exact = lane == "int"
 
     powers = np.array([job.kernel.powers for job in jobs], dtype=np.int64)
     rewards = np.array([job.kernel.rewards for job in jobs], dtype=np.int64)
@@ -934,7 +850,7 @@ def _run_sim_bucket(jobs: Sequence[SimultaneousJob], lane: str) -> List[Simultan
             allowed_m = allowed_m[keep]
 
     while owner.size:
-        targets = _best_response(rewards, mass, assign, powers, allowed_m, exact)
+        targets = _best_response(rewards, mass, assign, powers, allowed_m, lane)
         has_move = targets >= 0
 
         # Round budget: the scalar loop simply stops after max_rounds

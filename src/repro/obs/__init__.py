@@ -34,6 +34,7 @@ What the built-in hook points count (all names are stable API):
 ``pool.degradations``          worker pools that fell back to serial
 ``space.codes_visited``        ConfigSpace nodes scanned
 ``space.equilibria``           stable codes found
+``space.escalations``          float-screen move tests confirmed exactly
 ``stochastic.races``           lottery blocks raced
 ``stochastic.budget_rounds``   per-decision sample-budget draws
 ``noisy.activations/moves``    noisy-learner dynamics

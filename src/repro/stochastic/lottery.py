@@ -35,13 +35,9 @@ from repro.core.configuration import Configuration
 from repro.core.game import Game
 from repro.core.miner import Miner
 from repro.kernel.core import KernelGame
+from repro.kernel.exact import _INT64_SAFE
 from repro.obs.recorder import get_recorder
 from repro.util.rng import RngLike, make_rng
-
-#: Largest threshold bound the vectorized int64 path may draw against.
-#: Above it (games with astronomically fine rational grids) the sampler
-#: falls back to exact arbitrary-precision rejection sampling.
-_INT64_SAFE = 2**62
 
 
 def draw_below(rng: np.random.Generator, bound: int) -> int:

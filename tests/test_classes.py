@@ -20,6 +20,7 @@ game* — differentially against the two established exact engines:
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -551,6 +552,26 @@ def test_orbit_size_rejects_invalid_count_matrices():
         cgame.orbit_size([[3, 0, 1], [0, 1, 1]])
     with pytest.raises(InvalidConfigurationError, match="negative"):
         cgame.orbit_size([[5, -1, 0], [0, 1, 1]])
+
+
+def test_stable_profiles_scan_is_capped_by_default():
+    """Four classes of 10**6 miners over 8 coins: about 1.5·10**153
+    count matrices. The default cap refuses the scan before it starts,
+    naming the count and the knob that lifts the cap."""
+    cgame = ClassGame.from_spec(
+        [(power, None, 10**6) for power in (1, 2, 3, 5)], rewards=range(1, 9)
+    )
+    count = cgame.profile_count()
+    assert count > 10**153
+    start = time.perf_counter()
+    with pytest.raises(InvalidModelError, match=rf"^{count} class profiles .*max_profiles=None"):
+        cgame.stable_profiles()
+    assert time.perf_counter() - start < 0.5
+
+    small = ClassGame.from_spec([(1, None, 3), (2, None, 2)], rewards=[1, 2])
+    assert small.stable_profiles(max_profiles=None) == small.stable_profiles()
+    with pytest.raises(InvalidModelError, match="scan limit 2;"):
+        small.stable_profiles(max_profiles=2)
 
 
 @pytest.mark.parametrize(

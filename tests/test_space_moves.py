@@ -5,10 +5,12 @@
 :func:`~repro.kernel.space._longest_path` peels that graph's sinks level
 by level. These tests pin the builder to the scalar
 :meth:`ConfigSpace.successor_codes` it replaced, node by node, on
-unmasked, hardware-masked and off-int64 games; check the full-graph
-report against the Fraction brute force; check that the block size does
-not change any answer; and exercise the peel on hand-built graphs,
-cyclic ones included, which Theorem 1 games never produce.
+unmasked, hardware-masked and off-int64 games, and on float-lane games
+whose moves sit near exact ties, so that the builder must confirm some
+verdicts in Python integers; check the full-graph report against the
+Fraction brute force; check that the block size does not change any
+answer; and exercise the peel on hand-built graphs, cyclic ones
+included, which Theorem 1 games never produce.
 """
 
 import random
@@ -26,7 +28,9 @@ from repro.core.restricted import RestrictedGame
 from repro.exceptions import InvalidModelError
 from repro.kernel.space import ConfigSpace, _longest_path
 from repro.kernel.tensor import kernel_lane
+from repro.obs.recorder import MetricsRecorder, observe
 from repro.util.rng import spawn_rngs
+from test_tensor_margins import seeded_near_tie_game
 
 
 def _masked(miners, coins, seed):
@@ -60,6 +64,12 @@ GAMES = (
     + [pytest.param(Game.create([1, 2, 3, 1], [5, 5, 5]), id="ties")]
 )
 
+#: Float-lane games with powers near 2**40: some moves tie exactly or
+#: within the float64 screen's bracket.
+NEAR_TIE_GAMES = [
+    pytest.param(seeded_near_tie_game(seed), id=f"near-tie-{seed}") for seed in range(8)
+]
+
 
 def _builder_edges(space):
     """{code: sorted successor codes} from the move builder."""
@@ -76,7 +86,7 @@ def test_off_int64_game_leaves_the_int_lane():
     assert kernel_lane(ConfigSpace(_off_int64()).kernel) != "int"
 
 
-@pytest.mark.parametrize("game", GAMES)
+@pytest.mark.parametrize("game", GAMES + NEAR_TIE_GAMES)
 def test_builder_edges_match_scalar_successors(game):
     space = ConfigSpace(game)
     scalar = {
@@ -87,7 +97,7 @@ def test_builder_edges_match_scalar_successors(game):
     assert list(scalar) == sorted(scalar)
 
 
-@pytest.mark.parametrize("game", GAMES)
+@pytest.mark.parametrize("game", GAMES + NEAR_TIE_GAMES)
 def test_full_report_matches_fraction_analysis(game):
     space = ConfigSpace(game)
     report = space._dag(orbits=False)
@@ -98,6 +108,19 @@ def test_full_report_matches_fraction_analysis(game):
     assert report.nodes_scanned == report.total_configurations == space.size
     stable = [space.config_of(code) for code in space.stable_codes()]
     assert stable == enumerate_equilibria(game, backend="exact")
+
+
+def test_near_tie_games_confirm_moves_in_python_integers():
+    """The float lane's exact confirmations run inside ConfigSpace on
+    the games the parity tests above hold to the Fraction core."""
+    recorder = MetricsRecorder()
+    with observe(recorder):
+        for param in NEAR_TIE_GAMES:
+            space = ConfigSpace(param.values[0])
+            assert kernel_lane(space.kernel) == "float"
+            space.stable_codes()
+            space.dag_report()
+    assert recorder.counter("space.escalations") > 0
 
 
 @pytest.mark.parametrize("rows", [1, 5, 7])
